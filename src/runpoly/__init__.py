@@ -5,104 +5,34 @@ monotone segments.  The package computes it four independent ways (exhaustive
 enumeration, a three-term recurrence, an explicit closed form, and rational
 generating functions), builds the polynomial families behind the last two,
 and cross-verifies everything in exact rational arithmetic.
+
+The names below are the public entry points; everything else is reached
+through its module (runpoly.closedform, runpoly.genfun, ...).
 """
 
-from .bruteforce import ENUMERATION_CAP, brute_triangle, count_runs
-from .closedform import (
-    K,
-    NonIntegerResultError,
-    PsiPolynomial,
-    a_poly,
-    a_value,
-    b_poly,
-    b_value,
-    g_coefficient,
-    p_closed_form,
-    p_poly,
-    p_value,
-    phi_generating_series,
-    phi_polys,
-    psi_polys,
-)
-from .genfun import (
-    A_k_gf,
-    AtildeData,
-    B_poly,
-    DegreeMismatchError,
-    DualPathMismatchError,
-    RationalGF,
-    atilde_data,
-    atilde_poly,
-    atilde_taylor_coeffs,
-    delta_factors,
-    delta_poly,
-    phi_s_poly,
-    phi_tilde_poly,
-    u_s_gf,
-    u_s_series,
-    verify_wz_sum,
-)
-from .poly import (
-    BivariatePolynomial,
-    NonzeroRemainderError,
-    Polynomial,
-    TruncatedSeries,
-    binom_poly_in_n,
-    binom_rational,
-    series_reciprocal,
-)
-from .recurrences import IdentityReport, verify_phi_recurrence, verify_psi_recurrence
+from .bruteforce import brute_triangle, count_runs
+from .closedform import closed_triangle, p_closed_form, psi_polys
+from .genfun import phi_s_poly, series_triangle, u_s_series
+from .poly import BivariatePolynomial, Polynomial, TruncatedSeries
 from .triangle import RunCountTriangle, build_triangle
 from .verification import CheckResult, run_verification
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "A_k_gf",
-    "AtildeData",
-    "B_poly",
     "BivariatePolynomial",
     "CheckResult",
-    "DegreeMismatchError",
-    "DualPathMismatchError",
-    "ENUMERATION_CAP",
-    "IdentityReport",
-    "K",
-    "NonIntegerResultError",
-    "NonzeroRemainderError",
     "Polynomial",
-    "PsiPolynomial",
-    "RationalGF",
     "RunCountTriangle",
     "TruncatedSeries",
-    "a_poly",
-    "a_value",
-    "atilde_data",
-    "atilde_poly",
-    "atilde_taylor_coeffs",
-    "b_poly",
-    "b_value",
-    "binom_poly_in_n",
-    "binom_rational",
     "brute_triangle",
     "build_triangle",
+    "closed_triangle",
     "count_runs",
-    "delta_factors",
-    "delta_poly",
-    "g_coefficient",
     "p_closed_form",
-    "p_poly",
-    "p_value",
-    "phi_generating_series",
-    "phi_polys",
     "phi_s_poly",
-    "phi_tilde_poly",
     "psi_polys",
     "run_verification",
-    "series_reciprocal",
-    "u_s_gf",
+    "series_triangle",
     "u_s_series",
-    "verify_phi_recurrence",
-    "verify_psi_recurrence",
-    "verify_wz_sum",
 ]

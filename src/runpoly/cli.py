@@ -11,23 +11,30 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
-from . import closedform, genfun, serialize, verification
-from .bruteforce import brute_triangle
-from .triangle import RunCountTriangle, build_triangle
+from . import bruteforce, closedform, genfun, serialize, triangle, verification
 
 FORMATS = ("json", "tsv", "latex")
-METHODS = ("recurrence", "closed", "series", "brute")
+# The builders are looked up on their modules at call time, so a patched or
+# wrapped builder is the one that runs.
+METHODS = {
+    "recurrence": lambda n_max: triangle.build_triangle(n_max),
+    "closed": lambda n_max: closedform.closed_triangle(n_max),
+    "series": lambda n_max: genfun.series_triangle(n_max),
+    "brute": lambda n_max: bruteforce.brute_triangle(n_max),  # rejects n_max > ENUMERATION_CAP
+}
 
 
 @dataclasses.dataclass(frozen=True)
 class OutputDocument:
     """One rendered result: a payload dict for json, preformatted text otherwise."""
 
-    kind: str  # triangle | polynomial | series | verification-report
+    kind: str  # a serialize.ENCODERS kind
     payload: dict | str
     format: str
+    failed: tuple[str, ...] = ()  # names of the failed verification checks
 
     def render(self) -> str:
         if self.format == "json":
@@ -35,116 +42,25 @@ class OutputDocument:
         return self.payload
 
 
-def _triangle_by_method(n_max: int, method: str) -> RunCountTriangle:
-    if method == "brute":
-        return brute_triangle(n_max)  # rejects n_max > ENUMERATION_CAP itself
-    if method == "recurrence":
-        return build_triangle(n_max)
-    if method == "closed":
-        rows = tuple(
-            tuple(closedform.p_closed_form(n, s) for s in range(1, n))
-            for n in range(2, n_max + 1)
-        )
-        return RunCountTriangle(n_max=n_max, rows=rows)
-    if method == "series":
-        columns = {s: genfun.u_s_series(s, n_max) for s in range(1, n_max)}
-
-        def as_count(value):
-            if value.denominator != 1:
-                raise ArithmeticError(f"series coefficient {value} is not an integer")
-            return value.numerator
-
-        rows = tuple(
-            tuple(as_count(columns[s].coefficient(n)) for s in range(1, n))
-            for n in range(2, n_max + 1)
-        )
-        return RunCountTriangle(n_max=n_max, rows=rows)
-    raise ValueError(f"unknown method {method!r}")
+def _document(kind: str, fmt: str, value, **params) -> OutputDocument:
+    return OutputDocument(kind, serialize.encode(kind, fmt, value, **params), fmt)
 
 
 def cmd_table(n_max: int, method: str = "recurrence", fmt: str = "json") -> OutputDocument:
-    tri = _triangle_by_method(n_max, method)
-    if fmt == "tsv":
-        payload = serialize.triangle_to_tsv(tri)
-    elif fmt == "latex":
-        payload = serialize.triangle_to_latex(tri)
-    else:
-        payload = serialize.triangle_to_doc(tri)
-        payload["method"] = method
-    return OutputDocument(kind="triangle", payload=payload, format=fmt)
+    return _document("triangle", fmt, METHODS[method](n_max), method=method)
 
 
 def cmd_psi(i_max: int, fmt: str = "json") -> OutputDocument:
-    family = closedform.psi_polys(i_max)
-    if fmt == "tsv":
-        lines = []
-        for psi in family:
-            for (en, es), c in sorted(psi.part.terms.items()):
-                lines.append(
-                    f"{psi.index}\t{en}\t{es}\t{serialize.fraction_to_text(c)}"
-                )
-        payload = "\n".join(lines)
-    elif fmt == "latex":
-        payload = "\n".join(
-            f"{psi.index} & {serialize.psi_row_latex(psi)} \\\\" for psi in family
-        )
-    else:
-        payload = {
-            "kind": "polynomial",
-            "family": "psi",
-            "rows": [
-                {
-                    "i": psi.index,
-                    "prefactor": "K(s)" if psi.index == 0 else f"K(s-{psi.index})",
-                    "part": serialize.bivariate_to_doc(psi.part),
-                }
-                for psi in family
-            ],
-        }
-    return OutputDocument(kind="polynomial", payload=payload, format=fmt)
+    return _document("psi", fmt, closedform.psi_polys(i_max))
 
 
 def cmd_phi(s: int, fmt: str = "json") -> OutputDocument:
-    poly = genfun.phi_s_poly(s)
-    factors = genfun.delta_factors(s)
-    if fmt == "tsv":
-        lines = [
-            f"coefficient\t{j}\t{serialize.fraction_to_text(c)}"
-            for j, c in enumerate(poly.coeffs)
-        ]
-        lines += [
-            f"factor\t{serialize.fraction_to_text(c)}\t{e}" for c, e in factors
-        ]
-        payload = "\n".join(lines)
-    elif fmt == "latex":
-        payload = (
-            f"\\frac{{{serialize.phi_row_latex(poly)}}}"
-            f"{{{serialize.delta_latex(factors)}}}"
-        )
-    else:
-        payload = {
-            "kind": "polynomial",
-            "family": "phi",
-            "s": s,
-            "numerator": serialize.polynomial_to_doc(poly),
-            "denominator_factors": [
-                {"parameter": serialize.fraction_to_text(c), "multiplicity": e}
-                for c, e in factors
-            ],
-        }
-    return OutputDocument(kind="polynomial", payload=payload, format=fmt)
+    gf = genfun.RationalGF(genfun.phi_s_poly(s), genfun.delta_factors(s))
+    return _document("phi", fmt, gf, s=s)
 
 
 def cmd_series(s: int, order: int = 30, fmt: str = "json") -> OutputDocument:
-    series = genfun.u_s_series(s, order)
-    if fmt == "tsv":
-        payload = serialize.series_to_tsv(series)
-    elif fmt == "latex":
-        payload = serialize.series_to_latex(series)
-    else:
-        payload = serialize.series_to_doc(series)
-        payload["s"] = s
-    return OutputDocument(kind="series", payload=payload, format=fmt)
+    return _document("series", fmt, genfun.u_s_series(s, order), s=s)
 
 
 def cmd_verify(
@@ -155,26 +71,9 @@ def cmd_verify(
     fmt: str = "json",
 ) -> tuple[OutputDocument, int]:
     results = verification.run_verification(n_max, s_max, i_max, k_max)
-    all_ok = all(r.passed for r in results)
-    if fmt == "tsv":
-        payload = "\n".join(
-            f"{r.name}\t{'ok' if r.passed else 'FAILED'}\t{r.detail}" for r in results
-        )
-    elif fmt == "latex":
-        payload = "\n".join(
-            f"{r.name} & {'ok' if r.passed else 'FAILED'} \\\\" for r in results
-        )
-    else:
-        payload = {
-            "kind": "verification-report",
-            "passed": all_ok,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-        }
-    doc = OutputDocument(kind="verification-report", payload=payload, format=fmt)
-    return doc, 0 if all_ok else 1
+    failed = tuple(r.name for r in results if not r.passed)
+    payload = serialize.encode("verification-report", fmt, results)
+    return OutputDocument("verification-report", payload, fmt, failed), 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,58 +84,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=FORMATS, default="json")
-
     p_table = sub.add_parser("table", help="the P(n,s) triangle")
     p_table.add_argument("--n-max", type=int, required=True)
     p_table.add_argument("--method", choices=METHODS, default="recurrence")
-    add_format(p_table)
+    p_table.set_defaults(run=cmd_table)
 
     p_psi = sub.add_parser("psi", help="the weights psi_i = K(s-i) Q_i(n,s)")
     p_psi.add_argument("--i-max", type=int, required=True)
-    add_format(p_psi)
+    p_psi.set_defaults(run=cmd_psi)
 
     p_phi = sub.add_parser("phi", help="the numerator Phi_s and factored Delta_s")
     p_phi.add_argument("--s", type=int, required=True)
-    add_format(p_phi)
+    p_phi.set_defaults(run=cmd_phi)
 
     p_series = sub.add_parser("series", help="coefficients of u_s(x)")
     p_series.add_argument("--s", type=int, required=True)
     p_series.add_argument("--order", type=int, default=30)
-    add_format(p_series)
+    p_series.set_defaults(run=cmd_series)
 
     p_verify = sub.add_parser("verify", help="run the full cross-check battery")
     p_verify.add_argument("--n-max", type=int, default=20)
     p_verify.add_argument("--s-max", type=int, default=10)
     p_verify.add_argument("--i-max", type=int, default=10)
     p_verify.add_argument("--k-max", type=int, default=20)
-    add_format(p_verify)
+    p_verify.set_defaults(run=lambda **kw: cmd_verify(**kw)[0])
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=FORMATS, default="json", dest="fmt")
     return parser
+
+
+def _write(text: str) -> None:
+    """Print text to stdout; a reader that leaves early (`| head`) is not an error."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # keep the interpreter's flush at exit from failing on the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(parser.parse_args(argv))
     except SystemExit as exc:  # argparse already printed usage to stderr
         return 0 if exc.code in (0, None) else 2
 
-    code = 0
+    del args["command"]
     try:
-        if args.command == "table":
-            doc = cmd_table(args.n_max, args.method, args.format)
-        elif args.command == "psi":
-            doc = cmd_psi(args.i_max, args.format)
-        elif args.command == "phi":
-            doc = cmd_phi(args.s, args.format)
-        elif args.command == "series":
-            doc = cmd_series(args.s, args.order, args.format)
-        else:
-            doc, code = cmd_verify(
-                args.n_max, args.s_max, args.i_max, args.k_max, args.format
-            )
+        doc = args.pop("run")(**args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -245,13 +142,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
 
-    print(doc.render())
-    if code:
-        failed = [c["name"] for c in doc.payload["checks"] if not c["passed"]] \
-            if doc.format == "json" else []
-        note = f" ({', '.join(failed)})" if failed else ""
-        print(f"verification failed{note}", file=sys.stderr)
-    return code
+    _write(doc.render())
+    if doc.failed:
+        print(f"verification failed ({', '.join(doc.failed)})", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

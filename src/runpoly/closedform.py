@@ -28,6 +28,7 @@ from .poly import (
     binom_poly_in_n,
     binom_rational,
 )
+from .triangle import RunCountTriangle
 
 
 class NonIntegerResultError(ArithmeticError):
@@ -170,6 +171,11 @@ def p_closed_form(n: int, s: int) -> int:
     if total.denominator != 1 or total < 0:
         raise NonIntegerResultError(f"P({n},{s}) evaluated to {total}")
     return int(total)
+
+
+def closed_triangle(n_max: int) -> RunCountTriangle:
+    """The P(n, s) triangle with every entry from the explicit formula."""
+    return RunCountTriangle.tabulate(n_max, p_closed_form)
 
 
 def phi_generating_series(n: int, t: int, order: int) -> TruncatedSeries:

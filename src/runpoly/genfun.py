@@ -26,6 +26,7 @@ from math import comb
 
 from .closedform import K, b_value, g_coefficient
 from .poly import Polynomial, TruncatedSeries, binom_rational, series_reciprocal
+from .triangle import RunCountTriangle
 
 
 class DegreeMismatchError(ArithmeticError):
@@ -322,3 +323,20 @@ def u_s_series(s: int, order: int = 32) -> TruncatedSeries:
     if order < 2:
         raise ValueError("order must be >= 2")
     return series_reciprocal(delta_poly(s), order) * phi_s_poly(s)
+
+
+def series_triangle(n_max: int) -> RunCountTriangle:
+    """The P(n, s) triangle read off the u_s series, one column per s.
+
+    Raises ArithmeticError if a coefficient is not an integer, which would
+    mean a broken identity.
+    """
+    columns = {s: u_s_series(s, n_max) for s in range(1, n_max)}
+
+    def count(n: int, s: int) -> int:
+        value = columns[s].coefficient(n)
+        if value.denominator != 1:
+            raise ArithmeticError(f"series coefficient {value} is not an integer")
+        return value.numerator
+
+    return RunCountTriangle.tabulate(n_max, count)

@@ -7,19 +7,25 @@ are decimal strings too: rows past n = 20 overflow 64-bit consumers.
 The LaTeX emitters mirror the usual tabulated presentation: psi rows keep the
 K(s-i) prefactor symbolic and pull the coefficients over a common
 denominator; Phi rows factor out the content and the leading power of x.
+
+ENCODERS at the bottom holds the one encoder for each (document kind,
+format) pair the CLI prints; `encode` looks them up.  Decoders raise
+ValueError, and only ValueError, on a malformed document.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from fractions import Fraction
 from math import gcd, lcm
 
 from .closedform import PsiPolynomial
+from .genfun import RationalGF
 from .poly import BivariatePolynomial, Polynomial, TruncatedSeries
 from .triangle import RunCountTriangle
 
-_FRACTION_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+_FRACTION_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
 
 
 def fraction_to_text(q: Fraction) -> str:
@@ -29,10 +35,22 @@ def fraction_to_text(q: Fraction) -> str:
 
 
 def text_to_fraction(text: str) -> Fraction:
-    m = _FRACTION_RE.match(text)
+    m = _FRACTION_RE.fullmatch(text) if isinstance(text, str) else None
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
     return Fraction(int(m.group(1)), int(m.group(2) or 1))
+
+
+def _fields(doc, kind: str, **types: type) -> list:
+    """The named fields of a document of the given kind, each of the given type."""
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        got = doc.get("kind") if isinstance(doc, dict) else type(doc).__name__
+        raise ValueError(f"expected kind {kind!r}, got {got!r}")
+    values = [doc.get(name) for name in types]
+    for (name, t), value in zip(types.items(), values):
+        if not isinstance(value, t) or isinstance(value, bool):
+            raise ValueError(f"{kind} field {name!r} must be {t.__name__}, got {value!r:.40}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +66,8 @@ def polynomial_to_doc(p: Polynomial) -> dict:
 
 
 def doc_to_polynomial(doc: dict) -> Polynomial:
-    if doc.get("kind") != "polynomial":
-        raise ValueError(f"expected kind 'polynomial', got {doc.get('kind')!r}")
-    return Polynomial(doc["variable"], [text_to_fraction(c) for c in doc["coefficients"]])
+    var, coeffs = _fields(doc, "polynomial", variable=str, coefficients=list)
+    return Polynomial(var, [text_to_fraction(c) for c in coeffs])
 
 
 def bivariate_to_doc(p: BivariatePolynomial) -> dict:
@@ -63,11 +80,16 @@ def bivariate_to_doc(p: BivariatePolynomial) -> dict:
 
 
 def doc_to_bivariate(doc: dict) -> BivariatePolynomial:
-    if doc.get("kind") != "polynomial":
-        raise ValueError(f"expected kind 'polynomial', got {doc.get('kind')!r}")
-    v1, v2 = doc["variables"]
-    terms = {(e1, e2): text_to_fraction(c) for e1, e2, c in doc["terms"]}
-    return BivariatePolynomial((v1, v2), terms)
+    names, terms = _fields(doc, "polynomial", variables=list, terms=list)
+    if len(names) != 2 or not all(isinstance(v, str) for v in names):
+        raise ValueError(f"expected two variable names, got {names!r:.40}")
+    parsed = {}
+    for term in terms:
+        exponents = term[:2] if isinstance(term, list) and len(term) == 3 else ()
+        if not (exponents and all(type(e) is int and e >= 0 for e in exponents)):
+            raise ValueError(f"expected a term [e1, e2, coefficient], got {term!r:.40}")
+        parsed[term[0], term[1]] = text_to_fraction(term[2])
+    return BivariatePolynomial(tuple(names), parsed)
 
 
 def series_to_doc(ts: TruncatedSeries) -> dict:
@@ -80,12 +102,10 @@ def series_to_doc(ts: TruncatedSeries) -> dict:
 
 
 def doc_to_series(doc: dict) -> TruncatedSeries:
-    if doc.get("kind") != "series":
-        raise ValueError(f"expected kind 'series', got {doc.get('kind')!r}")
-    coeffs = [text_to_fraction(c) for c in doc["coefficients"]]
-    if len(coeffs) != doc["order"] + 1:
+    var, order, coeffs = _fields(doc, "series", variable=str, order=int, coefficients=list)
+    if len(coeffs) != order + 1:
         raise ValueError("coefficient list does not match the declared order")
-    return TruncatedSeries(doc["variable"], doc["order"], coeffs)
+    return TruncatedSeries(var, order, [text_to_fraction(c) for c in coeffs])
 
 
 def triangle_to_doc(tri: RunCountTriangle) -> dict:
@@ -100,10 +120,14 @@ def triangle_to_doc(tri: RunCountTriangle) -> dict:
 
 
 def doc_to_triangle(doc: dict) -> RunCountTriangle:
-    if doc.get("kind") != "triangle":
-        raise ValueError(f"expected kind 'triangle', got {doc.get('kind')!r}")
-    rows = tuple(tuple(int(c) for c in row["counts"]) for row in doc["rows"])
-    return RunCountTriangle(n_max=doc["n_max"], rows=rows)
+    n_max, rows = _fields(doc, "triangle", n_max=int, rows=list)
+    counts = []
+    for n, row in enumerate(rows, start=2):
+        cells = row.get("counts") if isinstance(row, dict) and row.get("n") == n else None
+        if not (isinstance(cells, list) and all(isinstance(c, str) for c in cells)):
+            raise ValueError(f"expected row {{'n': {n}, 'counts': [strings]}}, got {row!r:.40}")
+        counts.append(tuple(int(c) for c in cells))
+    return RunCountTriangle(n_max=n_max, rows=tuple(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +141,23 @@ def triangle_to_tsv(tri: RunCountTriangle) -> str:
     return "\n".join(lines)
 
 
-def polynomial_to_tsv(p: Polynomial) -> str:
-    lines = [f"{j}\t{fraction_to_text(c)}" for j, c in enumerate(p.coeffs)]
+def polynomial_to_tsv(p: Polynomial | TruncatedSeries, prefix: str = "") -> str:
+    """One line `j<TAB>c_j` per stored coefficient of a polynomial or series."""
+    lines = [f"{prefix}{j}\t{fraction_to_text(c)}" for j, c in enumerate(p.coeffs)]
     return "\n".join(lines)
 
 
-def series_to_tsv(ts: TruncatedSeries) -> str:
-    lines = [f"{j}\t{fraction_to_text(c)}" for j, c in enumerate(ts.coeffs)]
-    return "\n".join(lines)
-
-
-def bivariate_to_tsv(p: BivariatePolynomial) -> str:
+def bivariate_to_tsv(p: BivariatePolynomial, prefix: str = "") -> str:
     lines = [
-        f"{e1}\t{e2}\t{fraction_to_text(c)}" for (e1, e2), c in sorted(p.terms.items())
+        f"{prefix}{e1}\t{e2}\t{fraction_to_text(c)}"
+        for (e1, e2), c in sorted(p.terms.items())
     ]
     return "\n".join(lines)
+
+
+def _join_lines(*blocks: str) -> str:
+    """Concatenate tsv blocks, dropping empty ones so no blank line appears."""
+    return "\n".join(b for b in blocks if b)
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +196,13 @@ def polynomial_to_latex(p: Polynomial) -> str:
     return _join_signed(parts)
 
 
+def _prefactor(i: int) -> str:
+    return "K(s)" if i == 0 else f"K(s-{i})"
+
+
 def psi_row_latex(psi: PsiPolynomial) -> str:
     """One table row: prefactor K(s-i), expanded numerator, common denominator."""
-    i = psi.index
-    prefactor = "K(s)" if i == 0 else f"K(s-{i})"
+    prefactor = _prefactor(psi.index)
     terms = psi.part.terms
     if not terms:
         return f"{prefactor}(0)"
@@ -235,3 +264,86 @@ def triangle_to_latex(tri: RunCountTriangle) -> str:
     for n in range(2, tri.n_max + 1):
         lines.append(" & ".join([str(n)] + [str(c) for c in tri.row(n)]) + r" \\")
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# Whole documents, one encoder per (kind, format)
+#
+#   triangle             RunCountTriangle
+#   psi                  list of PsiPolynomial
+#   phi                  RationalGF Phi_s / Delta_s
+#   series               TruncatedSeries
+#   verification-report  list of CheckResult
+
+
+def _psi_json(family: list[PsiPolynomial]) -> dict:
+    rows = [
+        {"i": psi.index, "prefactor": _prefactor(psi.index), "part": bivariate_to_doc(psi.part)}
+        for psi in family
+    ]
+    return {"kind": "polynomial", "family": "psi", "rows": rows}
+
+
+def _phi_json(gf: RationalGF, s: int) -> dict:
+    return {
+        "kind": "polynomial",
+        "family": "phi",
+        "s": s,
+        "numerator": polynomial_to_doc(gf.numerator),
+        "denominator_factors": [
+            {"parameter": fraction_to_text(c), "multiplicity": e}
+            for c, e in gf.denominator_factors
+        ],
+    }
+
+
+def _phi_tsv(gf: RationalGF) -> str:
+    factors = [f"factor\t{fraction_to_text(c)}\t{e}" for c, e in gf.denominator_factors]
+    return _join_lines(polynomial_to_tsv(gf.numerator, "coefficient\t"), *factors)
+
+
+def _report_json(results) -> dict:
+    return {
+        "kind": "verification-report",
+        "passed": all(r.passed for r in results),
+        "checks": [dataclasses.asdict(r) for r in results],
+    }
+
+
+ENCODERS = {
+    ("triangle", "json"): lambda tri, method: {**triangle_to_doc(tri), "method": method},
+    ("triangle", "tsv"): triangle_to_tsv,
+    ("triangle", "latex"): triangle_to_latex,
+    ("psi", "json"): _psi_json,
+    ("psi", "tsv"): lambda family: _join_lines(
+        *(bivariate_to_tsv(psi.part, f"{psi.index}\t") for psi in family)
+    ),
+    ("psi", "latex"): lambda family: "\n".join(
+        f"{psi.index} & {psi_row_latex(psi)} \\\\" for psi in family
+    ),
+    ("phi", "json"): _phi_json,
+    ("phi", "tsv"): _phi_tsv,
+    ("phi", "latex"): lambda gf: (
+        f"\\frac{{{phi_row_latex(gf.numerator)}}}{{{delta_latex(gf.denominator_factors)}}}"
+    ),
+    ("series", "json"): lambda ts, s: {**series_to_doc(ts), "s": s},
+    ("series", "tsv"): polynomial_to_tsv,
+    ("series", "latex"): series_to_latex,
+    ("verification-report", "json"): _report_json,
+    ("verification-report", "tsv"): lambda results: "\n".join(
+        f"{r.name}\t{r.status}\t{r.detail}" for r in results
+    ),
+    ("verification-report", "latex"): lambda results: "\n".join(
+        f"{r.name} & {r.status} \\\\" for r in results
+    ),
+}
+
+
+def encode(kind: str, fmt: str, value, **params) -> dict | str:
+    """The document of the given kind for value: a dict for json, text otherwise.
+
+    Only json documents echo the request parameters (`method`, `s`); tsv and
+    latex carry the bare data.
+    """
+    encoder = ENCODERS[kind, fmt]
+    return encoder(value, **params) if fmt == "json" else encoder(value)

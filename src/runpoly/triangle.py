@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from math import factorial
+from typing import Callable
 
 
 @dataclasses.dataclass(frozen=True)
@@ -21,6 +22,23 @@ class RunCountTriangle:
 
     n_max: int
     rows: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        if self.n_max < 2:
+            raise ValueError(f"n_max must be >= 2, got {self.n_max}")
+        if len(self.rows) != self.n_max - 1:
+            raise ValueError(f"expected {self.n_max - 1} rows for n_max={self.n_max}")
+        for n, row in enumerate(self.rows, start=2):
+            if len(row) != n - 1 or not all(type(c) is int and c >= 0 for c in row):
+                raise ValueError(f"row n={n} must hold {n - 1} non-negative integers")
+
+    @classmethod
+    def tabulate(cls, n_max: int, count: Callable[[int, int], int]) -> RunCountTriangle:
+        """The triangle with P(n, s) = count(n, s), for methods that give each entry alone."""
+        rows = tuple(
+            tuple(count(n, s) for s in range(1, n)) for n in range(2, n_max + 1)
+        )
+        return cls(n_max=n_max, rows=rows)
 
     def value(self, n: int, s: int) -> int:
         """P(n, s), with 0 for s outside 1..n-1."""
@@ -47,8 +65,6 @@ class RunCountTriangle:
 
 def build_triangle(n_max: int) -> RunCountTriangle:
     """Compute P(n, s) for all 2 <= n <= n_max by the run-count recurrence."""
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
     rows = [(2,)]
     for n in range(3, n_max + 1):
         prev = rows[-1]

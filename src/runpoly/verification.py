@@ -23,9 +23,12 @@ class CheckResult:
     passed: bool
     detail: str
 
+    @property
+    def status(self) -> str:
+        return "ok" if self.passed else "FAILED"
+
     def __str__(self) -> str:
-        label = "ok" if self.passed else "FAILED"
-        return f"{label:6} {self.name}: {self.detail}"
+        return f"{self.status:6} {self.name}: {self.detail}"
 
 
 class _CheckFailure(Exception):

@@ -1,7 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 
+import runpoly
 from runpoly import cli, closedform, genfun
 from runpoly.poly import BivariatePolynomial, Polynomial
 
@@ -33,8 +39,9 @@ class TestTable:
                 reference = rows
             assert rows == reference, method
 
-    def test_below_domain_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "table", "--n-max", "1")
+    @pytest.mark.parametrize("method", cli.METHODS)
+    def test_below_domain_is_usage_error(self, capsys, method):
+        code, out, err = run_cli(capsys, "table", "--n-max", "1", "--method", method)
         assert code == 2
         assert out == ""
         assert "error" in err
@@ -135,7 +142,8 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--n-max", "0")
         assert code == 2
 
-    def test_corrupted_psi_family_fails_named_check(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_corrupted_psi_family_fails_named_check(self, capsys, monkeypatch, fmt):
         real = closedform.psi_polys
 
         def broken(i_max):
@@ -148,11 +156,16 @@ class TestVerify:
         code, out, err = run_cli(
             capsys,
             "verify", "--n-max", "6", "--s-max", "4", "--i-max", "5", "--k-max", "3",
+            "--format", fmt,
         )
         assert code == 1
-        failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
-        assert "psi-recurrence" in failed
-        assert "psi-recurrence" in err
+        failed_row = {
+            "json": '"name": "psi-recurrence",\n      "passed": false',
+            "tsv": "psi-recurrence\tFAILED\t",
+            "latex": "psi-recurrence & FAILED \\\\",
+        }
+        assert failed_row[fmt] in out
+        assert err.startswith("verification failed (") and "psi-recurrence" in err
 
     def test_corrupted_phi_numerator_fails_named_check(self, capsys, monkeypatch):
         real = genfun.phi_s_poly
@@ -171,6 +184,111 @@ class TestVerify:
         assert code == 1
         failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
         assert "series-vs-recurrence" in failed or "partial-fractions" in failed
+
+
+VERIFY_ARGS = ["verify", "--n-max", "3", "--s-max", "1", "--i-max", "1", "--k-max", "0"]
+VERIFY_CHECKS = [
+    ("row-sums", "sum_s P(n,s) = n! for 2 <= n <= 3"),
+    ("brute-vs-recurrence", "exhaustive enumeration matches the recurrence for n <= 3"),
+    ("closed-vs-recurrence", "explicit formula matches the recurrence for n <= 3, s <= 1"),
+    ("series-vs-recurrence", "u_s coefficients match the recurrence for s <= 1, n <= 3"),
+    ("phi-recurrence", "phi-recurrence: all identities hold for 1 <= i <= 1"),
+    ("psi-recurrence", "psi-recurrence: all identities hold for 1 <= i <= 1"),
+    ("atilde-divisibility", "(1+z)^(k+1) divides ATilde_k for k <= 0"),
+    ("wz-normalization", "normalization sums equal 4^k for k <= 0"),
+    ("atilde-dual-path", "closed formula and Taylor shift agree for k <= 0"),
+    ("a-k-series", "A_k series matches the a_k polynomials for k <= 0, n <= 40"),
+    ("phi-series-product", "product form reproduces every phi part for i <= 1"),
+    ("partial-fractions", "partial fractions clear back to Phi_s for s <= 1"),
+    ("degree-claims", "n-degrees, Phi/Delta degrees, and PhiTilde degrees all as claimed"),
+]
+
+
+def as_json(doc):
+    return json.dumps(doc, indent=2)
+
+
+# Every (subcommand, format) pair with its exact stdout, minus the final newline.
+PINNED = {
+    ("table", "json"): as_json({
+        "kind": "triangle",
+        "n_max": 3,
+        "rows": [{"n": 2, "counts": ["2"]}, {"n": 3, "counts": ["2", "4"]}],
+        "method": "closed",
+    }),
+    ("table", "tsv"): "2\t2\n3\t2\t4",
+    ("table", "latex"): "2 & 2 \\\\\n3 & 2 & 4 \\\\",
+    ("psi", "json"): as_json({
+        "kind": "polynomial",
+        "family": "psi",
+        "rows": [
+            {"i": 0, "prefactor": "K(s)", "part": {
+                "kind": "polynomial", "variables": ["n", "s"], "terms": [[0, 0, "1"]]}},
+            {"i": 1, "prefactor": "K(s-1)", "part": {
+                "kind": "polynomial", "variables": ["n", "s"], "terms": [[0, 0, "-2"]]}},
+            {"i": 2, "prefactor": "K(s-2)", "part": {
+                "kind": "polynomial",
+                "variables": ["n", "s"],
+                "terms": [[0, 0, "2"], [0, 1, "1/4"], [1, 0, "-1/2"]],
+            }},
+        ],
+    }),
+    ("psi", "tsv"): "0\t0\t0\t1\n1\t0\t0\t-2\n2\t0\t0\t2\n2\t0\t1\t1/4\n2\t1\t0\t-1/2",
+    ("psi", "latex"): "0 & K(s) \\\\\n1 & K(s-1)(-2) \\\\\n2 & K(s-2)(-2n+s+8)/4 \\\\",
+    ("phi", "json"): as_json({
+        "kind": "polynomial",
+        "family": "phi",
+        "s": 2,
+        "numerator": {"kind": "polynomial", "variable": "x", "coefficients": ["0", "0", "0", "4"]},
+        "denominator_factors": [
+            {"parameter": "2", "multiplicity": 1},
+            {"parameter": "1", "multiplicity": 1},
+        ],
+    }),
+    ("phi", "tsv"): "coefficient\t0\t0\ncoefficient\t1\t0\ncoefficient\t2\t0\n"
+                    "coefficient\t3\t4\nfactor\t2\t1\nfactor\t1\t1",
+    ("phi", "latex"): "\\frac{4x^3}{(1-2x)(1-x)}",
+    ("series", "json"): as_json({
+        "kind": "series", "variable": "x", "order": 3, "coefficients": ["0", "0", "2", "2"], "s": 1,
+    }),
+    ("series", "tsv"): "0\t0\n1\t0\n2\t2\n3\t2",
+    ("series", "latex"): "2x^2+2x^3+O(x^4)",
+    ("verify", "json"): as_json({
+        "kind": "verification-report",
+        "passed": True,
+        "checks": [{"name": n, "passed": True, "detail": d} for n, d in VERIFY_CHECKS],
+    }),
+    ("verify", "tsv"): "\n".join(f"{n}\tok\t{d}" for n, d in VERIFY_CHECKS),
+    ("verify", "latex"): "\n".join(f"{n} & ok \\\\" for n, _ in VERIFY_CHECKS),
+}
+PINNED_ARGS = {
+    "table": ["table", "--n-max", "3", "--method", "closed"],
+    "psi": ["psi", "--i-max", "2"],
+    "phi": ["phi", "--s", "2"],
+    "series": ["series", "--s", "1", "--order", "3"],
+    "verify": VERIFY_ARGS,
+}
+
+
+@pytest.mark.parametrize("command, fmt", sorted(PINNED), ids="-".join)
+def test_pinned_output(capsys, command, fmt):
+    code, out, err = run_cli(capsys, *PINNED_ARGS[command], "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == PINNED[command, fmt] + "\n"
+
+
+def test_closed_pipe_is_not_an_error():
+    # about 1 MB of output, far more than a pipe buffers
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "runpoly.cli", "table", "--n-max", "150", "--format", "tsv"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(Path(runpoly.__file__).parents[1])},
+    )
+    assert proc.stdout.read(10) == b"2\t2\n3\t2\t4\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
 
 
 class TestParser:

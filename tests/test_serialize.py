@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction
 
@@ -93,6 +94,68 @@ class TestJsonDocs:
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ValueError):
             doc_to_polynomial({"kind": "triangle", "rows": []})
+
+    @pytest.mark.parametrize(
+        "decode, doc",
+        [
+            (doc_to_triangle, {"kind": "triangle", "n_max": 5, "rows": [{"n": 2, "counts": ["7"]}]}),
+            (doc_to_polynomial, {"kind": "polynomial"}),
+            (doc_to_series, {"kind": "series", "variable": "x", "order": "2", "coefficients": []}),
+        ],
+    )
+    def test_malformed_doc_rejected(self, decode, doc):
+        with pytest.raises(ValueError):
+            decode(doc)
+
+
+# A valid document of each kind, its decoder and its encoder.
+CODECS = [
+    (polynomial_to_doc(Polynomial("x", [1, Fraction(-1, 2)])), doc_to_polynomial, polynomial_to_doc),
+    (bivariate_to_doc(psi_polys(3)[3].part), doc_to_bivariate, bivariate_to_doc),
+    (series_to_doc(TruncatedSeries("x", 3, [0, 2, Fraction(1, 3)])), doc_to_series, series_to_doc),
+    (triangle_to_doc(build_triangle(4)), doc_to_triangle, triangle_to_doc),
+]
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 6)
+    | st.sampled_from(["", "x", "7", "-3", "1/2", "2.5", "polynomial", "series", "triangle"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["kind", "n", "counts", "order"]), inner, max_size=2),
+    max_leaves=6,
+)
+DELETE = object()
+
+
+def paths(value, prefix=()):
+    """Every position in a JSON value, as a key path."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from paths(child, prefix + (key,))
+
+
+@given(st.data())
+def test_mutated_doc_round_trips_or_raises_value_error(data):
+    doc, decode, encode = data.draw(st.sampled_from(CODECS))
+    doc = copy.deepcopy(doc)
+    path = data.draw(st.sampled_from(list(paths(doc))))
+    new = data.draw(json_values | st.just(DELETE))
+    if not path:
+        doc = None if new is DELETE else new
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if new is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = new
+    try:
+        value = decode(doc)
+    except ValueError:
+        return
+    assert decode(json.loads(json.dumps(encode(value)))) == value
 
 
 class TestTsv:
