@@ -31,7 +31,6 @@ METHODS = {
 class OutputDocument:
     """One rendered result: a payload dict for json, preformatted text otherwise."""
 
-    kind: str  # a serialize.ENCODERS kind
     payload: dict | str
     format: str
     failed: tuple[str, ...] = ()  # names of the failed verification checks
@@ -43,7 +42,7 @@ class OutputDocument:
 
 
 def _document(kind: str, fmt: str, value, **params) -> OutputDocument:
-    return OutputDocument(kind, serialize.encode(kind, fmt, value, **params), fmt)
+    return OutputDocument(serialize.encode(kind, fmt, value, **params), fmt)
 
 
 def cmd_table(n_max: int, method: str = "recurrence", fmt: str = "json") -> OutputDocument:
@@ -55,8 +54,7 @@ def cmd_psi(i_max: int, fmt: str = "json") -> OutputDocument:
 
 
 def cmd_phi(s: int, fmt: str = "json") -> OutputDocument:
-    gf = genfun.RationalGF(genfun.phi_s_poly(s), genfun.delta_factors(s))
-    return _document("phi", fmt, gf, s=s)
+    return _document("phi", fmt, genfun.u_s_gf(s), s=s)
 
 
 def cmd_series(s: int, order: int = 30, fmt: str = "json") -> OutputDocument:
@@ -73,7 +71,7 @@ def cmd_verify(
     results = verification.run_verification(n_max, s_max, i_max, k_max)
     failed = tuple(r.name for r in results if not r.passed)
     payload = serialize.encode("verification-report", fmt, results)
-    return OutputDocument("verification-report", payload, fmt, failed), 1 if failed else 0
+    return OutputDocument(payload, fmt, failed), 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -110,20 +110,16 @@ def g_coefficient(i: int, j: int) -> int:
 
 
 def phi_polys(i_max: int) -> list[BivariatePolynomial]:
-    """Polynomial parts of phi_i(n, t), the common K(t) factor omitted.
-
-    part(phi_{2j}) = p_j + p_{j-1} and part(phi_{2j+1}) = -2*p_j, with the
-    convention p_{-1} = 0.
-    """
+    """Polynomial parts of phi_i(n, t) = sum_j g_{i,j} p_j, the common K(t) factor omitted."""
     if i_max < 0:
         raise ValueError("i_max must be >= 0")
     parts = []
     for i in range(i_max + 1):
-        j = i // 2
-        if i % 2 == 0:
-            part = p_poly(j) + (p_poly(j - 1) if j >= 1 else 0)
-        else:
-            part = p_poly(j) * (-2)
+        part = BivariatePolynomial(NT_VARS)
+        for j in range(i // 2 + 1):
+            g = g_coefficient(i, j)
+            if g:
+                part = part + p_poly(j) * g
         parts.append(part)
     return parts
 

@@ -14,7 +14,8 @@ degree k+2.  The atilde coefficients are computed by two independent routes
 
 u_s is assembled from partial-fraction blocks B_{i,k}(x, s-i)/(1-(s-i)x)^(k+1)
 and cleared over the common denominator Delta_s to yield Phi_s, a polynomial
-of degree exactly 1 + ceil(s(s+2)/4).
+of degree exactly 1 + ceil(s(s+2)/4); check_partial_fractions clears the
+blocks a second, independent way.
 """
 
 from __future__ import annotations
@@ -37,19 +38,24 @@ class DualPathMismatchError(ArithmeticError):
     """Two independent computations of the same quantity disagree."""
 
 
+def _expand_factors(var: str, factors) -> Polynomial:
+    """prod (1 - c*var)^e over the (c, e) pairs, expanded."""
+    prod = Polynomial.constant(var, 1)
+    for c, e in factors:
+        prod = prod * Polynomial(var, [1, -c]) ** e
+    return prod
+
+
 @dataclasses.dataclass(frozen=True)
 class RationalGF:
     """A rational generating function numerator / prod (1 - c*x)^e.
 
     The denominator is kept factored as (parameter c, multiplicity e) pairs
-    with distinct parameters.  An optional partial-fraction form holds terms
-    B(x)/(1 - c*x)^e; clearing its denominators must reproduce the
-    numerator/denominator pair exactly (see check_partial_fractions).
+    with distinct parameters.
     """
 
     numerator: Polynomial
     denominator_factors: tuple[tuple[Fraction, int], ...]
-    partial_fractions: tuple[tuple[Polynomial, Fraction, int], ...] | None = None
 
     def __post_init__(self):
         params = [c for c, _ in self.denominator_factors]
@@ -63,33 +69,10 @@ class RationalGF:
         return self.numerator.var
 
     def denominator(self) -> Polynomial:
-        prod = Polynomial.constant(self.var, 1)
-        for c, e in self.denominator_factors:
-            prod = prod * Polynomial(self.var, [1, -c]) ** e
-        return prod
+        return _expand_factors(self.var, self.denominator_factors)
 
     def series(self, order: int) -> TruncatedSeries:
         return series_reciprocal(self.denominator(), order) * self.numerator
-
-    def partial_fraction_series(self, order: int) -> TruncatedSeries:
-        if self.partial_fractions is None:
-            raise ValueError("no partial-fraction form attached")
-        total = TruncatedSeries(self.var, order)
-        for b, c, e in self.partial_fractions:
-            denom = Polynomial(self.var, [1, -c]) ** e
-            total = total + series_reciprocal(denom, order) * b
-        return total
-
-    def check_partial_fractions(self) -> bool:
-        """Clear denominators of the partial-fraction form against the numerator."""
-        if self.partial_fractions is None:
-            raise ValueError("no partial-fraction form attached")
-        delta = self.denominator()
-        total = Polynomial(self.var)
-        for b, c, e in self.partial_fractions:
-            cofactor = delta.div_exact(Polynomial(self.var, [1, -c]) ** e)
-            total = total + b * cofactor
-        return total == self.numerator
 
 
 # ---------------------------------------------------------------------------
@@ -175,31 +158,21 @@ def atilde_taylor_coeffs(k: int) -> tuple[Fraction, ...]:
     return tuple(formula)
 
 
-@dataclasses.dataclass(frozen=True)
-class AtildeData:
-    """ATilde_k together with its shifted Taylor coefficients and PhiTilde_k."""
+@lru_cache(maxsize=None)
+def phi_tilde_poly(k: int) -> Polynomial:
+    """PhiTilde_k(z) = z^2 sum_p atilde_k(p) (1+z)^p, the reduced numerator of A_k.
 
-    k: int
-    atilde: Polynomial  # degree 2k+1 in z
-    taylor_coeffs: tuple[Fraction, ...]  # atilde_k(0..k)
-    phi_tilde: Polynomial  # degree k+2 in z
-
-
-def atilde_data(k: int) -> AtildeData:
-    """Build and cross-validate the full ATilde_k bundle.
-
-    Checks on construction: (1+z)^(k+1) divides ATilde_k exactly; the
+    Checks on construction: ATilde_k has degree exactly 2k+1; the
     reconstruction (-1)^k sum_p atilde_k(p) (1+z)^(k+p+1) reproduces it; and
-    PhiTilde_k(z) = z^2 sum_p atilde_k(p) (1+z)^p has degree exactly k+2.
+    PhiTilde_k has degree exactly k+2.
     """
     atilde = atilde_poly(k)
     if atilde.degree != 2 * k + 1:
         raise DegreeMismatchError(f"deg ATilde_{k} = {atilde.degree}, expected {2 * k + 1}")
-    coeffs = atilde_taylor_coeffs(k)
 
     rebuilt = Polynomial("z")
     reduced = Polynomial("z")
-    for p, c in enumerate(coeffs):
+    for p, c in enumerate(atilde_taylor_coeffs(k)):
         rebuilt = rebuilt + _one_plus_z(k + p + 1) * c
         reduced = reduced + _one_plus_z(p) * c
     if rebuilt * (-1) ** k != atilde:
@@ -208,11 +181,7 @@ def atilde_data(k: int) -> AtildeData:
     phi_tilde = Polynomial.monomial("z", 2) * reduced
     if phi_tilde.degree != k + 2:
         raise DegreeMismatchError(f"deg PhiTilde_{k} = {phi_tilde.degree}, expected {k + 2}")
-    return AtildeData(k=k, atilde=atilde, taylor_coeffs=coeffs, phi_tilde=phi_tilde)
-
-
-def phi_tilde_poly(k: int) -> Polynomial:
-    return atilde_data(k).phi_tilde
+    return phi_tilde
 
 
 def A_k_gf(k: int) -> RationalGF:
@@ -227,15 +196,11 @@ def A_k_gf(k: int) -> RationalGF:
 # The fixed-s generating functions u_s(x)
 
 
-def _multiplicity(i: int) -> int:
-    return i // 2 + 1
-
-
 def delta_factors(s: int) -> tuple[tuple[Fraction, int], ...]:
     """Factors (c, e) of Delta_s(x) = prod_{i=0}^{s-1} (1-(s-i)x)^(floor(i/2)+1)."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    return tuple((Fraction(s - i), _multiplicity(i)) for i in range(s))
+    return tuple((Fraction(s - i), i // 2 + 1) for i in range(s))
 
 
 def delta_degree(s: int) -> int:
@@ -245,10 +210,7 @@ def delta_degree(s: int) -> int:
 @lru_cache(maxsize=None)
 def delta_poly(s: int) -> Polynomial:
     """Delta_s(x) expanded; constant term 1, degree ceil(s(s+2)/4)."""
-    prod = Polynomial.constant("x", 1)
-    for c, e in delta_factors(s):
-        prod = prod * Polynomial("x", [1, -c]) ** e
-    return prod
+    return _expand_factors("x", delta_factors(s))
 
 
 def B_poly(i: int, k: int, t: int) -> Polynomial:
@@ -277,8 +239,10 @@ def phi_degree(s: int) -> int:
 def phi_s_poly(s: int) -> Polynomial:
     """The numerator Phi_s(x) of u_s, cleared over Delta_s.
 
-    Phi_s(x) = sum_i [prod_{m != i} (1-(s-m)x)^(floor(m/2)+1)]
-                     * sum_k B_{i,k}(x, s-i) (1-(s-i)x)^(floor(i/2)-k)
+    u_s(x) = sum_i inner_i(x) / (1-(s-i)x)^(floor(i/2)+1) with
+    inner_i = sum_k B_{i,k}(x, s-i) (1-(s-i)x)^(floor(i/2)-k).  The blocks are
+    summed in one pass over the Delta_s factors as a/b + c/d = (ad + cb)/bd,
+    so b runs through the prefix products and no division is needed.
 
     Raises DegreeMismatchError unless the result has degree exactly
     1 + ceil(s(s+2)/4).
@@ -286,34 +250,37 @@ def phi_s_poly(s: int) -> Polynomial:
     if s < 1:
         raise ValueError("s must be >= 1")
     total = Polynomial("x")
-    for i in range(s):
-        t = s - i
-        cofactor = Polynomial.constant("x", 1)
-        for m in range(s):
-            if m != i:
-                cofactor = cofactor * Polynomial("x", [1, -(s - m)]) ** _multiplicity(m)
+    prefix = Polynomial.constant("x", 1)
+    for i, (c, e) in enumerate(delta_factors(s)):
+        own = Polynomial("x", [1, -c])
         inner = Polynomial("x")
-        own_factor = Polynomial("x", [1, -t])
-        for k in range(i // 2 + 1):
-            inner = inner + B_poly(i, k, t) * own_factor ** (i // 2 - k)
-        total = total + cofactor * inner
+        for k in range(i // 2 + 1):  # Horner's rule in powers of own
+            inner = inner * own + B_poly(i, k, s - i)
+        factor = own**e
+        total, prefix = total * factor + inner * prefix, prefix * factor
     if total.degree != phi_degree(s):
         raise DegreeMismatchError(f"deg Phi_{s} = {total.degree}, expected {phi_degree(s)}")
     return total
 
 
-def u_s_gf(s: int) -> RationalGF:
-    """u_s(x) with both forms attached: Phi_s/Delta_s and its partial fractions."""
-    terms = []
+def check_partial_fractions(s: int) -> bool:
+    """Clear each block B_{i,k}(x, s-i)/(1-(s-i)x)^(k+1) over Delta_s and compare with Phi_s.
+
+    Every block is cleared on its own by an exact division of Delta_s, a
+    route independent of the running sum inside phi_s_poly.
+    """
+    delta = delta_poly(s)
+    total = Polynomial("x")
     for i in range(s):
         t = s - i
         for k in range(i // 2 + 1):
-            terms.append((B_poly(i, k, t), Fraction(t), k + 1))
-    return RationalGF(
-        numerator=phi_s_poly(s),
-        denominator_factors=delta_factors(s),
-        partial_fractions=tuple(terms),
-    )
+            total = total + B_poly(i, k, t) * delta.div_exact(Polynomial("x", [1, -t]) ** (k + 1))
+    return total == phi_s_poly(s)
+
+
+def u_s_gf(s: int) -> RationalGF:
+    """u_s(x) = Phi_s(x)/Delta_s(x), with Delta_s kept factored."""
+    return RationalGF(phi_s_poly(s), delta_factors(s))
 
 
 def u_s_series(s: int, order: int = 32) -> TruncatedSeries:

@@ -163,7 +163,7 @@ def run_verification(
     @check("partial-fractions")
     def _partial():
         for s in range(1, s_max + 1):
-            if not genfun.u_s_gf(s).check_partial_fractions():
+            if not genfun.check_partial_fractions(s):
                 raise _CheckFailure(f"clearing denominators fails at s={s}")
         return f"partial fractions clear back to Phi_s for s <= {s_max}"
 

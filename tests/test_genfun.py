@@ -5,15 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden_tables import PHI_ROWS, phi_row_poly
+from runpoly import genfun
 from runpoly.closedform import a_value
 from runpoly.genfun import (
     A_k_gf,
     B_poly,
     DegreeMismatchError,
     RationalGF,
-    atilde_data,
     atilde_poly,
     atilde_taylor_coeffs,
+    check_partial_fractions,
     delta_degree,
     delta_factors,
     delta_poly,
@@ -62,11 +63,10 @@ class TestAtilde:
 
     def test_bundle_invariants(self):
         for k in range(13):
-            data = atilde_data(k)
-            assert data.atilde == atilde_poly(k)
-            assert data.phi_tilde.degree == k + 2
-            assert data.phi_tilde.coefficient(0) == 0
-            assert data.phi_tilde.coefficient(1) == 0
+            phi_tilde = phi_tilde_poly(k)
+            assert phi_tilde.degree == k + 2
+            assert phi_tilde.coefficient(0) == 0
+            assert phi_tilde.coefficient(1) == 0
 
     def test_phi_tilde_small(self):
         assert phi_tilde_poly(0) == Polynomial("z", [0, 0, 1])
@@ -133,6 +133,20 @@ class TestPhiS:
         for s in range(1, 11):
             assert phi_s_poly(s).degree == phi_degree(s) == 1 + delta_degree(s)
 
+    def test_matches_recurrence_through_s_20(self):
+        # Phi_s = Delta_s * u_s, so [x^j] Phi_s = sum_m Delta_s[m] P(j-m, s)
+        triangle = build_triangle(phi_degree(20))
+        for s in range(1, 21):
+            delta = delta_poly(s)
+            expected = Polynomial(
+                "x",
+                [
+                    sum(delta.coefficient(m) * triangle.value(j - m, s) for m in range(j - 1))
+                    for j in range(phi_degree(s) + 1)
+                ],
+            )
+            assert phi_s_poly(s) == expected, f"s={s}"
+
 
 class TestUsSeries:
     def test_single_run_column(self):
@@ -166,13 +180,14 @@ class TestRationalGF:
 
     def test_partial_fractions_clear_to_numerator(self):
         for s in range(1, 7):
-            assert u_s_gf(s).check_partial_fractions(), f"s={s}"
+            assert check_partial_fractions(s), f"s={s}"
 
-    def test_partial_fraction_series_matches_direct(self):
-        gf = u_s_gf(3)
-        direct = gf.series(20)
-        split = gf.partial_fraction_series(20)
-        assert all(direct.coefficient(n) == split.coefficient(n) for n in range(21))
+    def test_partial_fractions_compare_with_module_phi(self, monkeypatch):
+        real = genfun.phi_s_poly
+        monkeypatch.setattr(
+            genfun, "phi_s_poly", lambda s: real(s) + Polynomial.monomial("x", 4)
+        )
+        assert not check_partial_fractions(4)
 
     def test_validation(self):
         x2 = Polynomial("x", [0, 0, 1])
@@ -180,8 +195,6 @@ class TestRationalGF:
             RationalGF(x2, ((Fraction(1), 1), (Fraction(1), 2)))
         with pytest.raises(ValueError):
             RationalGF(x2, ((Fraction(2), 0),))
-        with pytest.raises(ValueError):
-            RationalGF(x2, ((Fraction(2), 1),)).check_partial_fractions()
 
     def test_degree_mismatch_error_is_arithmetic(self):
         assert issubclass(DegreeMismatchError, ArithmeticError)
