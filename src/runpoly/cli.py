@@ -3,7 +3,8 @@
 Subcommands: table (the P(n,s) triangle by any of the four methods), psi and
 phi (the two polynomial families), series (u_s coefficients), and verify (the
 full cross-check battery).  Data goes to stdout, diagnostics to stderr.  Exit
-codes: 0 success, 1 verification failure, 2 usage error, nothing else.
+codes: 0 success, 1 verification failure, 2 usage error or Ctrl-C, nothing
+else.
 """
 
 from __future__ import annotations
@@ -132,6 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     del args["command"]
     try:
         doc = args.pop("run")(**args)
+        _write(doc.render())
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -139,8 +141,10 @@ def main(argv: list[str] | None = None) -> int:
         # a broken identity surfaced outside the verify battery
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 2
 
-    _write(doc.render())
     if doc.failed:
         print(f"verification failed ({', '.join(doc.failed)})", file=sys.stderr)
         return 1

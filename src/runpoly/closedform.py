@@ -177,8 +177,9 @@ def closed_triangle(n_max: int) -> RunCountTriangle:
 def phi_generating_series(n: int, t: int, order: int) -> TruncatedSeries:
     """The series sum_i phi_i(n, t) x^i, assembled from its closed form.
 
-    Equals K(t) * (1-x)^2 * [sum_k a_k(n) x^(2k)] * [sum_m b_m(t) x^(2m)];
-    the x^i coefficient must reproduce K(t) * part(phi_i)(n, t).
+    Equals K(t) * (1-x)^2 * [sum_k a_k(n) x^(2k)] * [sum_m b_m(t) x^(2m)],
+    multiplied out as polynomials and truncated at x^order; the x^i
+    coefficient must reproduce K(t) * part(phi_i)(n, t).
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -187,5 +188,5 @@ def phi_generating_series(n: int, t: int, order: int) -> TruncatedSeries:
     for k in range(order // 2 + 1):
         a_coeffs[2 * k] = a_value(k, n)
         b_coeffs[2 * k] = b_value(k, t)
-    series = TruncatedSeries("x", order, a_coeffs) * TruncatedSeries("x", order, b_coeffs)
-    return series * Polynomial("x", [1, -1]) ** 2 * K(t)
+    product = Polynomial("x", a_coeffs) * Polynomial("x", b_coeffs) * Polynomial("x", [1, -1]) ** 2
+    return TruncatedSeries("x", order, (product * K(t)).coeffs)

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import comb
 
 from .closedform import K, b_value, g_coefficient
-from .poly import Polynomial, TruncatedSeries, binom_rational, series_reciprocal
+from .poly import Polynomial, TruncatedSeries, binom_rational, series_quotient
 from .triangle import RunCountTriangle
 
 
@@ -72,7 +72,7 @@ class RationalGF:
         return _expand_factors(self.var, self.denominator_factors)
 
     def series(self, order: int) -> TruncatedSeries:
-        return series_reciprocal(self.denominator(), order) * self.numerator
+        return series_quotient(self.numerator, self.denominator(), order)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +289,7 @@ def u_s_series(s: int, order: int = 32) -> TruncatedSeries:
         raise ValueError("s must be >= 1")
     if order < 2:
         raise ValueError("order must be >= 2")
-    return series_reciprocal(delta_poly(s), order) * phi_s_poly(s)
+    return series_quotient(phi_s_poly(s), delta_poly(s), order)
 
 
 def series_triangle(n_max: int) -> RunCountTriangle:

@@ -1,11 +1,12 @@
-"""Exact polynomial and truncated-series arithmetic over the rationals.
+"""Exact polynomial arithmetic and series division over the rationals.
 
 Coefficients are `fractions.Fraction` throughout; no floating point enters any
 computation.  Three representations are provided:
 
   Polynomial           dense, one variable, ascending coefficient tuple
   BivariatePolynomial  sparse, two variables, {(e1, e2): coefficient} terms
-  TruncatedSeries      dense, one variable, fixed truncation order
+  TruncatedSeries      dense, one variable, fixed truncation order; a value
+                       with no arithmetic, made by series_quotient
 
 Every polynomial carries a variable tag ("x", "z", "n", "t", ...) which is
 checked whenever two polynomials are combined; mixing tags raises ValueError.
@@ -93,15 +94,6 @@ class Polynomial:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return Polynomial(self.var, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Polynomial) else -_as_fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = _as_fraction(other)
@@ -185,29 +177,10 @@ class Polynomial:
             if c:
                 for j in range(dn + 1):
                     rem[i - dn + j] -= c * d.coeffs[j]
-        if any(rem):
-            raise NonzeroRemainderError(
-                f"{self} is not divisible by {d}: remainder {Polynomial(self.var, rem)}"
-            )
+        for j, c in enumerate(rem):
+            if c:
+                raise NonzeroRemainderError(f"remainder has {c} at {self.var}^{j}")
         return Polynomial(self.var, quot)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for j in range(self.degree, -1, -1):
-            c = self.coeffs[j]
-            if c == 0:
-                continue
-            sign = " - " if c < 0 else (" + " if parts else "")
-            mag = abs(c)
-            if j == 0:
-                body = str(mag)
-            else:
-                head = "" if mag == 1 else f"{mag}*"
-                body = f"{head}{self.var}" + (f"^{j}" if j > 1 else "")
-            parts.append(sign + body)
-        return "".join(parts) if parts[0][0] != " " else "-" + "".join(parts)[3:]
 
 
 class BivariatePolynomial:
@@ -243,18 +216,11 @@ class BivariatePolynomial:
             return cls(vars, {(j, 0): c for j, c in enumerate(p.coeffs)})
         return cls(vars, {(0, j): c for j, c in enumerate(p.coeffs)})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree_in(self, position: int) -> int:
         """Degree in the first (0) or second (1) variable; -1 for the zero polynomial."""
         if not self.terms:
             return -1
         return max(e[position] for e in self.terms)
-
-    def coefficient(self, e1: int, e2: int) -> Fraction:
-        return self.terms.get((e1, e2), Fraction(0))
 
     def _check_vars(self, other: BivariatePolynomial) -> None:
         if self.vars != other.vars:
@@ -264,9 +230,6 @@ class BivariatePolynomial:
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -288,9 +251,6 @@ class BivariatePolynomial:
         if isinstance(other, (int, Fraction)):
             other = BivariatePolynomial.constant(self.vars, other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -353,28 +313,6 @@ class BivariatePolynomial:
                 out[key] = out.get(key, Fraction(0)) + c * w
         return BivariatePolynomial(vars, out)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        v1, v2 = self.vars
-        bits = []
-        for (e1, e2) in sorted(self.terms, key=lambda e: (-e[0], -e[1])):
-            c = self.terms[(e1, e2)]
-            mono = "".join(
-                f"{v}^{e}" if e > 1 else v
-                for v, e in ((v1, e1), (v2, e2))
-                if e > 0
-            )
-            if not mono:
-                bits.append(str(c))
-            elif c == 1:
-                bits.append(mono)
-            elif c == -1:
-                bits.append(f"-{mono}")
-            else:
-                bits.append(f"{c}*{mono}")
-        return " + ".join(bits).replace("+ -", "- ")
-
     def __repr__(self) -> str:
         return f"BivariatePolynomial({self.vars}, {self.terms})"
 
@@ -383,7 +321,8 @@ class BivariatePolynomial:
 class TruncatedSeries:
     """Power series known exactly up to and including order `order`.
 
-    Combining two series truncates to the smaller of the two orders.
+    coeffs holds exactly order + 1 coefficients: shorter input is padded with
+    zeros, longer input is truncated.
     """
 
     var: str
@@ -401,78 +340,29 @@ class TruncatedSeries:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @classmethod
-    def from_polynomial(cls, p: Polynomial, order: int) -> TruncatedSeries:
-        return cls(p.var, order, p.coeffs)
-
     def coefficient(self, j: int) -> Fraction:
         if j > self.order:
             raise IndexError(f"coefficient {j} beyond truncation order {self.order}")
         return self.coeffs[j]
 
-    def _check_var(self, other: TruncatedSeries) -> None:
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return TruncatedSeries(self.var, self.order, (self.coeffs[0] + c,) + self.coeffs[1:])
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_var(other)
-        m = min(self.order, other.order)
-        return TruncatedSeries(self.var, m, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+def series_quotient(num: Polynomial, den: Polynomial, order: int) -> TruncatedSeries:
+    """Expand num/den as a truncated series; requires den to have constant term exactly 1.
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(self.var, self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncatedSeries) else -_as_fraction(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return TruncatedSeries(self.var, self.order, [c * a for a in self.coeffs])
-        if isinstance(other, Polynomial):
-            other = TruncatedSeries.from_polynomial(other, self.order)
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_var(other)
-        m = min(self.order, other.order)
-        out = [Fraction(0)] * (m + 1)
-        for i in range(m + 1):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            for j in range(m + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return TruncatedSeries(self.var, m, out)
-
-    __rmul__ = __mul__
-
-
-def series_reciprocal(p: Polynomial, order: int) -> TruncatedSeries:
-    """Expand 1/p as a truncated series; requires constant term exactly 1.
-
-    Recurrence: b_0 = 1, b_m = -sum_{k=1..m} a_k b_{m-k}.
+    Recurrence: c_m = num_m - sum_{k=1..m} den_k c_{m-k}.
     """
-    if p.coefficient(0) != 1:
-        raise ValueError("series_reciprocal requires constant term 1")
-    b = [Fraction(0)] * (order + 1)
-    b[0] = Fraction(1)
-    a = p.coeffs
+    num._check_var(den)
+    if den.coefficient(0) != 1:
+        raise ValueError("series_quotient requires a denominator with constant term 1")
+    c = [num.coefficient(m) for m in range(order + 1)]
+    d = den.coeffs
     for m in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range(1, min(m, len(a) - 1) + 1):
-            if a[k]:
-                acc += a[k] * b[m - k]
-        b[m] = -acc
-    return TruncatedSeries(p.var, order, b)
+        acc = c[m]
+        for k in range(1, min(m, len(d) - 1) + 1):
+            if d[k]:
+                acc -= d[k] * c[m - k]
+        c[m] = acc
+    return TruncatedSeries(den.var, order, c)
 
 
 def binom_rational(top, k: int) -> Fraction:

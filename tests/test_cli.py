@@ -291,6 +291,15 @@ def test_closed_pipe_is_not_an_error():
     assert proc.stderr.read() == b""
 
 
+def test_ctrl_c_exits_two(capsys, monkeypatch):
+    def interrupted(n_max):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli.METHODS, "recurrence", interrupted)
+    code, out, err = run_cli(capsys, "table", "--n-max", "5")
+    assert (code, out, err) == (2, "", "interrupted\n")
+
+
 class TestParser:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0

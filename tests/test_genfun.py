@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from golden_tables import PHI_ROWS, phi_row_poly
 from runpoly import genfun
-from runpoly.closedform import a_value
+from runpoly.closedform import a_value, p_closed_form
 from runpoly.genfun import (
     A_k_gf,
     B_poly,
@@ -148,6 +149,11 @@ class TestPhiS:
             assert phi_s_poly(s) == expected, f"s={s}"
 
 
+@lru_cache(maxsize=None)
+def _triangle_200():
+    return build_triangle(200)
+
+
 class TestUsSeries:
     def test_single_run_column(self):
         series = u_s_series(1, 20)
@@ -165,6 +171,18 @@ class TestUsSeries:
             series = u_s_series(s, 25)
             for n in range(2, 26):
                 assert series.coefficient(n) == triangle.value(n, s), (n, s)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_n_s_agree_with_recurrence(self, data):
+        # reaches n = 200, far past the fixed tables; the s bounds keep one
+        # example under about 0.1 s
+        n = data.draw(st.integers(2, 200), label="n")
+        s = data.draw(st.integers(1, min(n - 1, 60)), label="s")
+        expected = _triangle_200().value(n, s)
+        assert p_closed_form(n, s) == expected
+        if s <= 12:
+            assert u_s_series(s, n).coefficient(n) == expected
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
