@@ -343,6 +343,8 @@ class TruncatedSeries:
     def coefficient(self, j: int) -> Fraction:
         if j > self.order:
             raise IndexError(f"coefficient {j} beyond truncation order {self.order}")
+        if j < 0:
+            return Fraction(0)
         return self.coeffs[j]
 
 

@@ -188,6 +188,12 @@ class TestTruncatedSeries:
         with pytest.raises(ValueError):
             series_quotient(Polynomial("x", [1]), Polynomial("x", [2, 1]), 3)
 
+    def test_coefficient_outside_known_range(self):
+        s = series_quotient(Polynomial("x", [1]), Polynomial("x", [1, -2]), 3)
+        assert s.coefficient(-1) == 0
+        with pytest.raises(IndexError):
+            s.coefficient(4)
+
     @given(polys(), polys(max_deg=4))
     @settings(max_examples=100)
     def test_quotient_roundtrip(self, q, d):

@@ -1,5 +1,7 @@
 """Recurrence triangle vs the brute-force oracle."""
 
+from collections import Counter
+from itertools import permutations
 from math import factorial
 
 import pytest
@@ -60,6 +62,12 @@ class TestBruteTriangle:
         t = brute_triangle(7)
         for n in range(2, 8):
             assert sum(t.row(n)) == factorial(n)
+
+    def test_matches_literal_enumeration(self):
+        t = brute_triangle(8)
+        for n in range(2, 9):
+            tally = Counter(count_runs(p) for p in permutations(range(n)))
+            assert t.row(n) == tuple(tally[s] for s in range(1, n))
 
 
 class TestBuildTriangle:
