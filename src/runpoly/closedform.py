@@ -12,6 +12,9 @@ The weight psi_i(n, s) factors as K(s-i) * Q_i(n, s) with K(s) = 2^(2-s);
 the non-polynomial prefactor K is kept out of every stored object and only
 reattached at evaluation time, which is also how the polynomials are usually
 displayed.  Q_i has degree exactly floor(i/2) in n.
+
+Counts are evaluated a row at a time (closed_row): a_k(n), b_m(t), p_j(n, t)
+and K(t) t^n do not depend on s, so each is formed once per row.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .poly import (
     BivariatePolynomial,
@@ -52,8 +55,9 @@ def a_value(k: int, n: int) -> Fraction:
     return binom_rational(Fraction(n - 3, 2), k) * (-1) ** k
 
 
+@lru_cache(maxsize=None)
 def b_value(m: int, t: int) -> Fraction:
-    """b_m(t) = t*(2m+t-1)! / (m!*(m+t)!*4^m) for integer t >= 1."""
+    """b_m(t) = t*(2m+t-1)! / (m!*(m+t)!*4^m) for integer t >= 1 (no n: cached)."""
     if m < 0:
         raise ValueError("m must be >= 0")
     if t < 1:
@@ -97,11 +101,6 @@ def p_poly(j: int) -> BivariatePolynomial:
     return total
 
 
-def p_value(j: int, n: int, t: int) -> Fraction:
-    """p_j(n, t) at integer arguments, straight from the defining sum."""
-    return sum((a_value(k, n) * b_value(j - k, t) for k in range(j + 1)), Fraction(0))
-
-
 def g_coefficient(i: int, j: int) -> int:
     """The selector g_{i,j} in {1, 0, -2} picking p_j terms for index i."""
     if i % 2 == 0:
@@ -143,35 +142,59 @@ def psi_polys(i_max: int) -> list[PsiPolynomial]:
     ]
 
 
+def _over_common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
+    d = lcm(*(q.denominator for q in values))
+    return [q.numerator * (d // q.denominator) for q in values], d
+
+
+def closed_row(n: int, s_max: int) -> tuple[int, ...]:
+    """P(n, 1..s_max) by the explicit formula, each shared term formed once.
+
+    Terms are summed as integer numerators over one denominator per row.
+    Raises NonIntegerResultError if an entry is not a nonnegative integer.
+    """
+    if not 1 <= s_max <= n - 1:
+        raise ValueError(f"need 1 <= s_max <= n-1, got n={n}, s_max={s_max}")
+    a, da = _over_common_denominator([a_value(k, n) for k in range((s_max - 1) // 2 + 1)])
+    p, den = {}, {}  # numerators of K(t) t^n p_j(n, t), and their denominator
+    for t in range(1, s_max + 1):
+        b, db = _over_common_denominator([b_value(m, t) for m in range((s_max - t) // 2 + 1)])
+        w = K(t) * t**n
+        p[t] = [w.numerator * sum(a[k] * b[j - k] for k in range(j + 1)) for j in range(len(b))]
+        den[t] = w.denominator * da * db
+    d = lcm(*den.values())
+    row = []
+    for s in range(1, s_max + 1):
+        # g_{i,j} with i = s - t is nonzero only at j = i//2 and i//2 - 1
+        total = sum(
+            d // den[t] * g_coefficient(s - t, j) * p[t][j]
+            for t in range(1, s + 1)
+            for j in range(max((s - t) // 2 - 1, 0), (s - t) // 2 + 1)
+        )
+        q, r = divmod(total, d)
+        if r or q < 0:
+            raise NonIntegerResultError(f"P({n},{s}) evaluated to {Fraction(total, d)}")
+        row.append(q)
+    return tuple(row)
+
+
 def p_closed_form(n: int, s: int) -> int:
     """P(n, s) by the explicit formula, exactly.
 
     P(n, s) = sum_{i=0}^{s-1} K(s-i) (s-i)^n sum_{j=0}^{floor(i/2)} g_{i,j} p_j(n, s-i)
     for n-1 >= s >= 1; outside that range the count is 0 by convention.
-    Raises NonIntegerResultError if the rational sum fails to collapse to a
-    nonnegative integer, which would mean a broken identity.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if s < 1 or s > n - 1:
         return 0
-    total = Fraction(0)
-    for i in range(s):
-        t = s - i
-        inner = Fraction(0)
-        for j in range(i // 2 + 1):
-            g = g_coefficient(i, j)
-            if g:
-                inner += g * p_value(j, n, t)
-        total += K(t) * t**n * inner
-    if total.denominator != 1 or total < 0:
-        raise NonIntegerResultError(f"P({n},{s}) evaluated to {total}")
-    return int(total)
+    return closed_row(n, s)[s - 1]
 
 
 def closed_triangle(n_max: int) -> RunCountTriangle:
-    """The P(n, s) triangle with every entry from the explicit formula."""
-    return RunCountTriangle.tabulate(n_max, p_closed_form)
+    """The P(n, s) triangle with every row from the explicit formula."""
+    rows = tuple(closed_row(n, n - 1) for n in range(2, n_max + 1))
+    return RunCountTriangle(n_max=n_max, rows=rows)
 
 
 def phi_generating_series(n: int, t: int, order: int) -> TruncatedSeries:

@@ -2,7 +2,10 @@
 
 Rationals travel as strings "p/q" (just "p" when the denominator is 1), never
 as floats, so every JSON document round-trips bit-exactly.  Triangle counts
-are decimal strings too: rows past n = 20 overflow 64-bit consumers.
+are decimal strings too: rows past n = 20 overflow 64-bit consumers.  The
+triangle codecs lift the interpreter's int/str digit limit (Python 3.10.7+
+refuses past 4300 digits, which row entries reach near n = 1560) while they
+convert, and restore it after.
 
 The LaTeX emitters mirror the usual tabulated presentation: psi rows keep the
 K(s-i) prefactor symbolic and pull the coefficients over a common
@@ -15,8 +18,10 @@ ValueError, and only ValueError, on a malformed document.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -39,6 +44,21 @@ def text_to_fraction(text: str) -> Fraction:
     if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
     return Fraction(int(m.group(1)), int(m.group(2) or 1))
+
+
+@contextlib.contextmanager
+def _any_int_digits():
+    """Lift the int <-> str digit limit inside, restoring it after."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # an interpreter without the limit
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _fields(doc, kind: str, **types: type) -> list:
@@ -108,6 +128,7 @@ def doc_to_series(doc: dict) -> TruncatedSeries:
     return TruncatedSeries(var, order, [text_to_fraction(c) for c in coeffs])
 
 
+@_any_int_digits()
 def triangle_to_doc(tri: RunCountTriangle) -> dict:
     return {
         "kind": "triangle",
@@ -119,6 +140,7 @@ def triangle_to_doc(tri: RunCountTriangle) -> dict:
     }
 
 
+@_any_int_digits()
 def doc_to_triangle(doc: dict) -> RunCountTriangle:
     n_max, rows = _fields(doc, "triangle", n_max=int, rows=list)
     counts = []
@@ -134,6 +156,7 @@ def doc_to_triangle(doc: dict) -> RunCountTriangle:
 # TSV
 
 
+@_any_int_digits()
 def triangle_to_tsv(tri: RunCountTriangle) -> str:
     lines = []
     for n in range(2, tri.n_max + 1):
@@ -259,6 +282,7 @@ def series_to_latex(ts: TruncatedSeries) -> str:
     return f"{head}+O({_power_text(ts.var, ts.order + 1)})"
 
 
+@_any_int_digits()
 def triangle_to_latex(tri: RunCountTriangle) -> str:
     lines = []
     for n in range(2, tri.n_max + 1):

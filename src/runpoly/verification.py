@@ -78,19 +78,18 @@ def run_verification(
         cap = min(n_max, bruteforce.ENUMERATION_CAP - 1)
         brute = bruteforce.brute_triangle(cap)
         for n in range(2, cap + 1):
-            if brute.row(n) != tri.row(n):
-                raise _CheckFailure(f"row n={n} differs")
+            for s, (got, want) in enumerate(zip(brute.row(n), tri.row(n)), start=1):
+                if got != want:
+                    raise _CheckFailure(f"P({n},{s}): brute force {got} != {want}")
         return f"exhaustive enumeration matches the recurrence for n <= {cap}"
 
     @check("closed-vs-recurrence")
     def _closed():
         for n in range(2, n_max + 1):
-            for s in range(1, min(n, s_max + 1)):
-                got = closedform.p_closed_form(n, s)
-                if got != tri.value(n, s):
-                    raise _CheckFailure(
-                        f"P({n},{s}): closed form {got} != {tri.value(n, s)}"
-                    )
+            row = closedform.closed_row(n, min(n - 1, s_max))
+            for s, (got, want) in enumerate(zip(row, tri.row(n)), start=1):
+                if got != want:
+                    raise _CheckFailure(f"P({n},{s}): closed form {got} != {want}")
         return f"explicit formula matches the recurrence for n <= {n_max}, s <= {s_max}"
 
     @check("series-vs-recurrence")

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import runpoly
-from runpoly import cli, closedform, genfun
+from runpoly import bruteforce, cli, closedform, genfun, verification
 from runpoly.poly import BivariatePolynomial, Polynomial
 
 
@@ -184,6 +184,21 @@ class TestVerify:
         assert code == 1
         failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
         assert "series-vs-recurrence" in failed or "partial-fractions" in failed
+
+    def test_brute_mismatch_names_first_entry(self, monkeypatch):
+        real = bruteforce.brute_triangle
+
+        def broken(n_max):
+            tri = real(n_max)
+            rows = list(tri.rows)
+            rows[3] = (rows[3][0], rows[3][1] + 1) + rows[3][2:]  # P(5, 2): 28 -> 29
+            return dataclasses.replace(tri, rows=tuple(rows))
+
+        monkeypatch.setattr(bruteforce, "brute_triangle", broken)
+        results = {r.name: r for r in verification.run_verification(6, 2, 1, 0)}
+        check = results["brute-vs-recurrence"]
+        assert not check.passed
+        assert check.detail == "P(5,2): brute force 29 != 28"
 
 
 VERIFY_ARGS = ["verify", "--n-max", "3", "--s-max", "1", "--i-max", "1", "--k-max", "0"]

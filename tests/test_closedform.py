@@ -1,26 +1,35 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden_tables import PSI_ROWS, psi_row_terms
+from runpoly import cli, closedform
 from runpoly.closedform import (
+    NonIntegerResultError,
     K,
     a_poly,
     a_value,
     b_poly,
     b_value,
+    closed_row,
+    closed_triangle,
     g_coefficient,
     p_closed_form,
     p_poly,
-    p_value,
     phi_generating_series,
     phi_polys,
     psi_polys,
 )
 from runpoly.poly import BivariatePolynomial, Polynomial
 from runpoly.triangle import build_triangle
+
+
+def defining_sum(j, n, t):
+    """p_j(n, t) = sum_{k<=j} a_k(n) b_{j-k}(t), written out term by term."""
+    return sum((a_value(k, n) * b_value(j - k, t) for k in range(j + 1)), Fraction(0))
 
 
 class TestPrefactor:
@@ -74,7 +83,7 @@ class TestBuildingBlocks:
         assert p_poly(0) == BivariatePolynomial.constant(("n", "t"), 1)
         expected = {(0, 0): Fraction(3, 2), (1, 0): Fraction(-1, 2), (0, 1): Fraction(1, 4)}
         assert p_poly(1).terms == expected
-        assert p_value(1, 3, 2) == Fraction(1, 2)
+        assert defining_sum(1, 3, 2) == Fraction(1, 2)
 
     @given(
         st.integers(min_value=0, max_value=6),
@@ -82,7 +91,7 @@ class TestBuildingBlocks:
         st.integers(min_value=1, max_value=10),
     )
     def test_p_poly_matches_values(self, j, n, t):
-        assert p_poly(j).evaluate(n, t) == p_value(j, n, t)
+        assert p_poly(j).evaluate(n, t) == defining_sum(j, n, t)
 
 
 class TestSelector:
@@ -167,3 +176,47 @@ class TestClosedFormCounts:
 
     def test_returns_plain_int(self):
         assert isinstance(p_closed_form(9, 4), int)
+
+
+@lru_cache(maxsize=None)
+def full_row(n):
+    return closed_row(n, n - 1)
+
+
+class TestClosedRow:
+    def test_triangle_matches_recurrence(self):
+        assert closed_triangle(60) == build_triangle(60)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_truncated_row_agrees_with_full_row(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=60), label="n")
+        s = data.draw(st.integers(min_value=1, max_value=n - 1), label="s")
+        assert p_closed_form(n, s) == full_row(n)[s - 1]
+
+    @pytest.mark.parametrize("n, s_max", [(1, 1), (5, 0), (5, 5), (-3, 1)])
+    def test_rejects_s_max_outside_row(self, n, s_max):
+        with pytest.raises(ValueError):
+            closed_row(n, s_max)
+
+
+@pytest.fixture
+def cold_b_cache():
+    """Empty the b_m(t) cache around a test, so no cached value outlives a patch."""
+    b_value.cache_clear()  # the cached function imported above, even while patched
+    yield
+    b_value.cache_clear()
+
+
+@pytest.mark.parametrize("name, args", [("a_value", (1, 7)), ("b_value", (1, 2))])
+def test_perturbed_building_block_is_caught(capsys, monkeypatch, cold_b_cache, name, args):
+    real = getattr(closedform, name)
+    monkeypatch.setattr(
+        closedform, name, lambda *a: real(*a) + Fraction(1, 3) * (a == args)
+    )
+    with pytest.raises(NonIntegerResultError):
+        closed_triangle(9)
+    assert cli.main(["table", "--method", "closed", "--n-max", "9"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("verification failure: P(")

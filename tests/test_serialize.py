@@ -1,5 +1,6 @@
 import copy
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from runpoly.closedform import psi_polys
 from runpoly.genfun import delta_factors, phi_s_poly, u_s_series
 from runpoly.poly import Polynomial, TruncatedSeries
 from runpoly.serialize import (
+    encode,
     bivariate_to_doc,
     delta_latex,
     doc_to_bivariate,
@@ -28,7 +30,7 @@ from runpoly.serialize import (
     triangle_to_doc,
     triangle_to_tsv,
 )
-from runpoly.triangle import build_triangle
+from runpoly.triangle import RunCountTriangle, build_triangle
 
 small_fractions = st.fractions(min_value=-100, max_value=100, max_denominator=64)
 
@@ -193,3 +195,35 @@ class TestLatex:
     def test_series_with_order_marker(self):
         text = series_to_latex(u_s_series(1, 4))
         assert text == "2x^2+2x^3+2x^4+O(x^5)"
+
+
+class TestCountsPastTheDigitLimit:
+    # 5001 digits: past the interpreter's default int/str limit of 4300
+    HUGE = RunCountTriangle(3, ((2,), (10**5000, 4)))
+    DIGITS = "1" + "0" * 5000
+
+    def limit(self):
+        return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+    @pytest.mark.parametrize(
+        "fmt, params, last_line",
+        [
+            ("json", {"method": "recurrence"}, None),
+            ("tsv", {}, f"3\t{DIGITS}\t4"),
+            ("latex", {}, f"3 & {DIGITS} & 4 \\\\"),
+        ],
+    )
+    def test_encoders_write_every_digit(self, fmt, params, last_line):
+        before = self.limit()
+        doc = encode("triangle", fmt, self.HUGE, **params)
+        if fmt == "json":
+            assert doc["rows"][1]["counts"] == [self.DIGITS, "4"]
+        else:
+            assert doc.splitlines()[-1] == last_line
+        assert self.limit() == before
+
+    def test_json_round_trip(self):
+        before = self.limit()
+        text = json.dumps(encode("triangle", "json", self.HUGE, method="recurrence"))
+        assert doc_to_triangle(json.loads(text)) == self.HUGE
+        assert self.limit() == before
