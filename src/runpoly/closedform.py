@@ -28,6 +28,7 @@ from .poly import (
     BivariatePolynomial,
     Polynomial,
     TruncatedSeries,
+    _over_lcm,
     binom_poly_in_n,
     binom_rational,
 )
@@ -142,11 +143,6 @@ def psi_polys(i_max: int) -> list[PsiPolynomial]:
     ]
 
 
-def _over_common_denominator(values: list[Fraction]) -> tuple[list[int], int]:
-    d = lcm(*(q.denominator for q in values))
-    return [q.numerator * (d // q.denominator) for q in values], d
-
-
 def closed_row(n: int, s_max: int) -> tuple[int, ...]:
     """P(n, 1..s_max) by the explicit formula, each shared term formed once.
 
@@ -155,10 +151,10 @@ def closed_row(n: int, s_max: int) -> tuple[int, ...]:
     """
     if not 1 <= s_max <= n - 1:
         raise ValueError(f"need 1 <= s_max <= n-1, got n={n}, s_max={s_max}")
-    a, da = _over_common_denominator([a_value(k, n) for k in range((s_max - 1) // 2 + 1)])
+    a, da = _over_lcm([a_value(k, n) for k in range((s_max - 1) // 2 + 1)])
     p, den = {}, {}  # numerators of K(t) t^n p_j(n, t), and their denominator
     for t in range(1, s_max + 1):
-        b, db = _over_common_denominator([b_value(m, t) for m in range((s_max - t) // 2 + 1)])
+        b, db = _over_lcm([b_value(m, t) for m in range((s_max - t) // 2 + 1)])
         w = K(t) * t**n
         p[t] = [w.numerator * sum(a[k] * b[j - k] for k in range(j + 1)) for j in range(len(b))]
         den[t] = w.denominator * da * db

@@ -263,11 +263,12 @@ def phi_s_poly(s: int) -> Polynomial:
     return total
 
 
-def check_partial_fractions(s: int) -> bool:
+def check_partial_fractions(s: int) -> None:
     """Clear each block B_{i,k}(x, s-i)/(1-(s-i)x)^(k+1) over Delta_s and compare with Phi_s.
 
     Every block is cleared on its own by an exact division of Delta_s, a
-    route independent of the running sum inside phi_s_poly.
+    route independent of the running sum inside phi_s_poly.  Raises
+    DualPathMismatchError naming the lowest coefficient that differs.
     """
     delta = delta_poly(s)
     total = Polynomial("x")
@@ -275,7 +276,12 @@ def check_partial_fractions(s: int) -> bool:
         t = s - i
         for k in range(i // 2 + 1):
             total = total + B_poly(i, k, t) * delta.div_exact(Polynomial("x", [1, -t]) ** (k + 1))
-    return total == phi_s_poly(s)
+    want = phi_s_poly(s)
+    for j in range(max(total.degree, want.degree) + 1):
+        if total.coefficient(j) != want.coefficient(j):
+            raise DualPathMismatchError(
+                f"Phi_{s} at x^{j}: cleared blocks give {total.coefficient(j)} != {want.coefficient(j)}"
+            )
 
 
 def u_s_gf(s: int) -> RationalGF:

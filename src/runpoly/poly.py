@@ -1,7 +1,10 @@
 """Exact polynomial arithmetic and series division over the rationals.
 
 Coefficients are `fractions.Fraction` throughout; no floating point enters any
-computation.  Three representations are provided:
+computation.  Sums, products, exact division, series division and linear
+substitution run on integer numerators over one common denominator, and
+build one Fraction per output coefficient.  Three representations are
+provided:
 
   Polynomial           dense, one variable, ascending coefficient tuple
   BivariatePolynomial  sparse, two variables, {(e1, e2): coefficient} terms
@@ -19,7 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping
 
 
@@ -33,6 +37,13 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _over_lcm(coeffs: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of coeffs over their least common denominator."""
+    coeffs = list(coeffs)
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 @dataclasses.dataclass(frozen=True, init=False)
@@ -84,32 +95,33 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_var(other)
-        a, b = self.coeffs, other.coeffs
+        nums, d = _over_lcm(self.coeffs + other.coeffs)
+        a, b = nums[: len(self.coeffs)], nums[len(self.coeffs) :]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for j, c in enumerate(b):
-            out[j] += c
-        return Polynomial(self.var, out)
+            a[j] += c
+        return Polynomial(self.var, [Fraction(c, d) for c in a])
 
     __radd__ = __add__
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return Polynomial(self.var, [c * a for a in self.coeffs])
+            a, d = _over_lcm(self.coeffs)
+            d *= other.denominator
+            return Polynomial(self.var, [Fraction(c * other.numerator, d) for c in a])
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_var(other)
-        if self.is_zero or other.is_zero:
-            return Polynomial(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(self.var, out)
+        a, da = _over_lcm(self.coeffs)
+        b, db = _over_lcm(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        d = da * db
+        return Polynomial(self.var, [Fraction(c, d) for c in out])
 
     __rmul__ = __mul__
 
@@ -140,13 +152,12 @@ class Polynomial:
         The result is tagged new_var when given (substituting c*x for z turns
         a polynomial in z into one in x).
         """
-        c = _as_fraction(c)
-        power = Fraction(1)
-        out = []
-        for coeff in self.coeffs:
-            out.append(coeff * power)
-            power *= c
-        return Polynomial(new_var or self.var, out)
+        p, q = _as_fraction(c).as_integer_ratio()
+        a, d = _over_lcm(self.coeffs)
+        top = max(len(a) - 1, 0)
+        d *= q**top
+        out = [x * p**j * q ** (top - j) for j, x in enumerate(a)]
+        return Polynomial(new_var or self.var, [Fraction(x, d) for x in out])
 
     def compose_affine(self, scale, shift, new_var: str | None = None) -> Polynomial:
         """Return p(scale*X + shift) as a polynomial in X."""
@@ -166,21 +177,28 @@ class Polynomial:
         self._check_var(d)
         if d.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dn = d.degree
-        lead = d.coeffs[-1]
-        qlen = max(len(rem) - dn, 0)
-        quot = [Fraction(0)] * qlen
+        # self = rem/da and d = div/dd; rem and quot share the scale `den`,
+        # which grows only when a quotient step does not divide evenly.
+        rem, da = _over_lcm(self.coeffs)
+        div, dd = _over_lcm(d.coeffs)
+        dn, lead = d.degree, div[-1]
+        quot = [0] * max(len(rem) - dn, 0)
+        den = 1
         for i in range(len(rem) - 1, dn - 1, -1):
-            c = rem[i] / lead
-            quot[i - dn] = c
+            f = abs(lead) // gcd(rem[i], lead)
+            if f != 1:
+                rem = [c * f for c in rem]
+                quot = [c * f for c in quot]
+                den *= f
+            c = quot[i - dn] = rem[i] // lead
             if c:
-                for j in range(dn + 1):
-                    rem[i - dn + j] -= c * d.coeffs[j]
+                for j, y in enumerate(div, i - dn):
+                    rem[j] -= c * y
         for j, c in enumerate(rem):
             if c:
+                c = Fraction(c, den * da)
                 raise NonzeroRemainderError(f"remainder has {c} at {self.var}^{j}")
-        return Polynomial(self.var, quot)
+        return Polynomial(self.var, [Fraction(c * dd, den * da) for c in quot])
 
 
 class BivariatePolynomial:
@@ -202,6 +220,14 @@ class BivariatePolynomial:
                 clean[(int(e1), int(e2))] = c
         self.vars = v
         self.terms = clean
+
+    @classmethod
+    def _over(cls, vars: tuple[str, str], nums: Mapping, d: int) -> BivariatePolynomial:
+        """The polynomial with terms nums[e] / d for integer nums, zeros dropped."""
+        p = object.__new__(cls)
+        p.vars = vars
+        p.terms = {e: Fraction(c, d) for e, c in nums.items() if c}
+        return p
 
     @classmethod
     def constant(cls, vars: tuple[str, str], value) -> BivariatePolynomial:
@@ -237,10 +263,11 @@ class BivariatePolynomial:
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
         self._check_vars(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return BivariatePolynomial(self.vars, out)
+        nums, d = _over_lcm([*self.terms.values(), *other.terms.values()])
+        out = dict(zip(self.terms, nums))
+        for e, c in zip(other.terms, nums[len(self.terms) :]):
+            out[e] = out.get(e, 0) + c
+        return BivariatePolynomial._over(self.vars, out, d)
 
     __radd__ = __add__
 
@@ -254,19 +281,20 @@ class BivariatePolynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if c == 0:
-                return BivariatePolynomial(self.vars)
-            return BivariatePolynomial(self.vars, {e: c * v for e, v in self.terms.items()})
+            a, d = _over_lcm(self.terms.values())
+            out = {e: c * other.numerator for e, c in zip(self.terms, a)}
+            return BivariatePolynomial._over(self.vars, out, d * other.denominator)
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
         self._check_vars(other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, a2), c in self.terms.items():
-            for (b1, b2), d in other.terms.items():
+        a, da = _over_lcm(self.terms.values())
+        b, db = _over_lcm(other.terms.values())
+        out: dict[tuple[int, int], int] = {}
+        for (a1, a2), x in zip(self.terms, a):
+            for (b1, b2), y in zip(other.terms, b):
                 e = (a1 + b1, a2 + b2)
-                out[e] = out.get(e, Fraction(0)) + c * d
-        return BivariatePolynomial(self.vars, out)
+                out[e] = out.get(e, 0) + x * y
+        return BivariatePolynomial._over(self.vars, out, da * db)
 
     __rmul__ = __mul__
 
@@ -284,34 +312,27 @@ class BivariatePolynomial:
         Used both for the reparametrization t -> s - i and for argument shifts
         like n -> n - 1 inside recurrence checks.
         """
-        scale, shift = _as_fraction(scale), _as_fraction(shift)
+        (scale, shift), den = _over_lcm([_as_fraction(scale), _as_fraction(shift)])
         names = list(self.vars)
         if new_name is not None:
             names[position] = new_name
         vars = (names[0], names[1])
-        # Cache expansions of (scale*V + shift)**e per exponent.
-        expanded: dict[int, list[Fraction]] = {0: [Fraction(1)]}
-
-        def powers(e: int) -> list[Fraction]:
-            if e not in expanded:
-                prev = powers(e - 1)
-                cur = [Fraction(0)] * (e + 1)
-                for j, c in enumerate(prev):
-                    cur[j] += c * shift
-                    cur[j + 1] += c * scale
-                expanded[e] = cur
-            return expanded[e]
-
-        out: dict[tuple[int, int], Fraction] = {}
-        for (e1, e2), c in self.terms.items():
-            e = e1 if position == 0 else e2
-            keep = e2 if position == 0 else e1
-            for j, w in enumerate(powers(e)):
-                if w == 0:
-                    continue
+        # (scale*V + shift)**e = rows[e](V) / den**e with integer rows[e];
+        # every term is brought over den**top.
+        top = max((e[position] for e in self.terms), default=0)
+        rows = [[1]]
+        for _ in range(top):
+            prev = rows[-1]
+            rows.append([shift * lo + scale * hi for lo, hi in zip(prev + [0], [0] + prev)])
+        nums, d = _over_lcm(self.terms.values())
+        out: dict[tuple[int, int], int] = {}
+        for (e1, e2), c in zip(self.terms, nums):
+            e, keep = (e1, e2) if position == 0 else (e2, e1)
+            c *= den ** (top - e)
+            for j, w in enumerate(rows[e]):
                 key = (j, keep) if position == 0 else (keep, j)
-                out[key] = out.get(key, Fraction(0)) + c * w
-        return BivariatePolynomial(vars, out)
+                out[key] = out.get(key, 0) + c * w
+        return BivariatePolynomial._over(vars, out, d * den**top)
 
     def __repr__(self) -> str:
         return f"BivariatePolynomial({self.vars}, {self.terms})"
@@ -356,15 +377,17 @@ def series_quotient(num: Polynomial, den: Polynomial, order: int) -> TruncatedSe
     num._check_var(den)
     if den.coefficient(0) != 1:
         raise ValueError("series_quotient requires a denominator with constant term 1")
-    c = [num.coefficient(m) for m in range(order + 1)]
-    d = den.coeffs
+    # With D the lcm of den's denominators, den(D*y) has integer coefficients
+    # and constant term 1; e_m = dn * D**m * c_m then satisfies the same
+    # recurrence in integers, where dn is num's common denominator.
+    D = lcm(*(c.denominator for c in den.coeffs))
+    rev = [(c * D**k).numerator for k, c in enumerate(den.coeffs)][:0:-1]
+    a, dn = _over_lcm(num.coeffs[: order + 1])
+    e = [c * D**m for m, c in enumerate(a)] + [0] * (order + 1 - len(a))
     for m in range(1, order + 1):
-        acc = c[m]
-        for k in range(1, min(m, len(d) - 1) + 1):
-            if d[k]:
-                acc -= d[k] * c[m - k]
-        c[m] = acc
-    return TruncatedSeries(den.var, order, c)
+        k = min(m, len(rev))  # e_m -= sum_{k} den_k D^k e_{m-k}
+        e[m] -= sum(map(mul, rev[len(rev) - k :], e[m - k : m]))
+    return TruncatedSeries(den.var, order, [Fraction(c, dn * D**m) for m, c in enumerate(e)])
 
 
 def binom_rational(top, k: int) -> Fraction:

@@ -144,8 +144,9 @@ def run_verification(
         for k in range(hi + 1):
             series = genfun.A_k_gf(k).series(40)
             for n in range(2, 41):
-                if series.coefficient(n) != closedform.a_value(k, n):
-                    raise _CheckFailure(f"A_{k} series wrong at z^{n}")
+                got, want = series.coefficient(n), closedform.a_value(k, n)
+                if got != want:
+                    raise _CheckFailure(f"A_{k} series at z^{n}: {got} != {want}")
         return f"A_k series matches the a_k polynomials for k <= {hi}, n <= 40"
 
     @check("phi-series-product")
@@ -162,8 +163,7 @@ def run_verification(
     @check("partial-fractions")
     def _partial():
         for s in range(1, s_max + 1):
-            if not genfun.check_partial_fractions(s):
-                raise _CheckFailure(f"clearing denominators fails at s={s}")
+            genfun.check_partial_fractions(s)  # raises DualPathMismatchError on failure
         return f"partial fractions clear back to Phi_s for s <= {s_max}"
 
     @check("degree-claims")

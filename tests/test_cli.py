@@ -200,6 +200,31 @@ class TestVerify:
         assert not check.passed
         assert check.detail == "P(5,2): brute force 29 != 28"
 
+    def test_a_k_series_mismatch_names_both_values(self, monkeypatch):
+        real = genfun.A_k_gf
+
+        def broken(k):
+            gf = real(k)
+            if k == 1:  # one more z^3 over (1-z)^2 adds 1 at z^3
+                gf = dataclasses.replace(gf, numerator=gf.numerator + Polynomial.monomial("z", 3))
+            return gf
+
+        monkeypatch.setattr(genfun, "A_k_gf", broken)
+        results = {r.name: r for r in verification.run_verification(6, 2, 1, 1)}
+        check = results["a-k-series"]
+        assert not check.passed
+        assert check.detail == "A_1 series at z^3: 1 != 0"
+
+    def test_partial_fraction_mismatch_names_coefficient(self, monkeypatch):
+        real = genfun.phi_s_poly
+        monkeypatch.setattr(
+            genfun, "phi_s_poly", lambda s: real(s) + Polynomial.monomial("x", 2, int(s == 2))
+        )
+        results = {r.name: r for r in verification.run_verification(6, 2, 1, 1)}
+        check = results["partial-fractions"]
+        assert not check.passed
+        assert check.detail == "DualPathMismatchError: Phi_2 at x^2: cleared blocks give 0 != 1"
+
 
 VERIFY_ARGS = ["verify", "--n-max", "3", "--s-max", "1", "--i-max", "1", "--k-max", "0"]
 VERIFY_CHECKS = [

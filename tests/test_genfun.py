@@ -12,6 +12,7 @@ from runpoly.genfun import (
     A_k_gf,
     B_poly,
     DegreeMismatchError,
+    DualPathMismatchError,
     RationalGF,
     atilde_poly,
     atilde_taylor_coeffs,
@@ -198,14 +199,16 @@ class TestRationalGF:
 
     def test_partial_fractions_clear_to_numerator(self):
         for s in range(1, 7):
-            assert check_partial_fractions(s), f"s={s}"
+            check_partial_fractions(s)  # raises on a mismatch
 
     def test_partial_fractions_compare_with_module_phi(self, monkeypatch):
         real = genfun.phi_s_poly
         monkeypatch.setattr(
             genfun, "phi_s_poly", lambda s: real(s) + Polynomial.monomial("x", 4)
         )
-        assert not check_partial_fractions(4)
+        detail = r"^Phi_4 at x\^4: cleared blocks give 0 != 1$"
+        with pytest.raises(DualPathMismatchError, match=detail):
+            check_partial_fractions(4)
 
     def test_validation(self):
         x2 = Polynomial("x", [0, 0, 1])

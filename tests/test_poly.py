@@ -17,15 +17,17 @@ from runpoly.poly import (
 )
 
 small_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=8)
+# coefficients: rational, negative and zero alike (an empty list is the zero polynomial)
+coefficients = st.one_of(st.just(Fraction(0)), small_fractions)
 
 
 def polys(var="x", max_deg=5):
-    return st.lists(small_fractions, max_size=max_deg + 1).map(lambda cs: Polynomial(var, cs))
+    return st.lists(coefficients, max_size=max_deg + 1).map(lambda cs: Polynomial(var, cs))
 
 
 def bipolys(vars=("n", "s"), max_deg=3):
     term = st.tuples(st.integers(0, max_deg), st.integers(0, max_deg))
-    return st.dictionaries(term, small_fractions, max_size=6).map(
+    return st.dictionaries(term, coefficients, max_size=6).map(
         lambda d: BivariatePolynomial(vars, d)
     )
 
@@ -87,6 +89,57 @@ class TestScaleArgument:
         assert p.coeffs == (0, 0, 4)
 
 
+class TestAgainstEvaluation:
+    """The integer loops checked pointwise: evaluation is Horner's rule on Fractions."""
+
+    @given(polys(), polys(), small_fractions)
+    @settings(max_examples=200)
+    def test_univariate_product_and_sum(self, p, q, a):
+        assert (p * q).evaluate(a) == p.evaluate(a) * q.evaluate(a)
+        assert (p + q).evaluate(a) == p.evaluate(a) + q.evaluate(a)
+
+    @given(bipolys(), bipolys(), small_fractions, small_fractions)
+    @settings(max_examples=200)
+    def test_bivariate_product_and_sum(self, p, q, a, b):
+        assert (p * q).evaluate(a, b) == p.evaluate(a, b) * q.evaluate(a, b)
+        assert (p + q).evaluate(a, b) == p.evaluate(a, b) + q.evaluate(a, b)
+
+    @given(polys(), small_fractions, small_fractions)
+    @settings(max_examples=100)
+    def test_scalar_multiples(self, p, c, a):
+        assert (p * c).evaluate(a) == c * p.evaluate(a)
+        assert p.scale_argument(c).evaluate(a) == p.evaluate(c * a)
+
+
+class TestNormalForm:
+    def test_cancelling_sum_of_products_is_zero(self):
+        p = Polynomial("x", [1, 1]) * Polynomial("x", [-1, 1]) + Polynomial("x", [1, 0, -1])
+        assert p == Polynomial("x")
+        assert p.coeffs == ()
+
+    def test_cancelling_leading_terms_are_stripped(self):
+        p = Polynomial("x", [Fraction(1, 2), 0, Fraction(1, 3)])
+        p = p + Polynomial("x", [0, 1, Fraction(-1, 3)])
+        assert p.coeffs == (Fraction(1, 2), 1)
+
+    def test_bivariate_sum_with_negation_is_empty(self):
+        terms = {(0, 0): Fraction(1, 2), (2, 1): -3, (1, 3): Fraction(5, 7)}
+        p = BivariatePolynomial(("n", "s"), terms)
+        assert (p + (-p)).terms == {}
+        assert (p * 0).terms == {}
+
+    def test_bivariate_product_drops_cancelled_terms(self):
+        # (n + s)(n - s) = n^2 - s^2: the two ns terms cancel
+        plus = BivariatePolynomial(("n", "s"), {(1, 0): 1, (0, 1): 1})
+        minus = BivariatePolynomial(("n", "s"), {(1, 0): 1, (0, 1): -1})
+        assert (plus * minus).terms == {(2, 0): 1, (0, 2): -1}
+
+    def test_coefficients_stay_reduced_fractions(self):
+        p = Polynomial("x", [Fraction(1, 6), Fraction(1, 4)]) * Polynomial("x", [Fraction(2, 3), 6])
+        assert p.coeffs == (Fraction(1, 9), Fraction(7, 6), Fraction(3, 2))
+        assert all(type(c) is Fraction for c in p.coeffs)
+
+
 class TestDivExact:
     def test_difference_of_squares_quotient(self):
         p = Polynomial("x", [1, 0, -1])
@@ -101,6 +154,14 @@ class TestDivExact:
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
             Polynomial("x", [1]).div_exact(Polynomial("x"))
+
+    def test_non_monic_rational_divisor(self):
+        # (1/2 + x/3)(2 - 3x) divided by (2 - 3x): the quotient needs 1/3 and 1/2
+        d = Polynomial("x", [2, -3])
+        p = Polynomial("x", [Fraction(1, 2), Fraction(1, 3)]) * d
+        assert p.div_exact(d) == Polynomial("x", [Fraction(1, 2), Fraction(1, 3)])
+        with pytest.raises(NonzeroRemainderError, match=r"remainder has 1/3 at x\^0"):
+            (p + Fraction(1, 3)).div_exact(d)
 
     @given(polys(), polys())
     @settings(max_examples=100)
@@ -160,6 +221,8 @@ class TestBivariate:
     def test_substitute_linear_agrees_with_eval(self, p, scale, shift, a, b):
         q = p.substitute_linear(1, scale, shift)
         assert q.evaluate(a, b) == p.evaluate(a, scale * b + shift)
+        q = p.substitute_linear(0, scale, shift)
+        assert q.evaluate(a, b) == p.evaluate(scale * a + shift, b)
 
     def test_substitute_renames(self):
         p = BivariatePolynomial(("n", "t"), {(0, 1): 1})
@@ -183,6 +246,21 @@ class TestTruncatedSeries:
         p = Polynomial("x", [1, -2]) * Polynomial("x", [1, -1])
         s = series_quotient(Polynomial("x", [1]), p, 3)
         assert s.coeffs == (1, 3, 7, 15)
+
+    def test_rational_denominator(self):
+        # 1/(1 - x/2) = sum x^m / 2^m
+        s = series_quotient(Polynomial("x", [1]), Polynomial("x", [1, Fraction(-1, 2)]), 5)
+        assert s.coeffs == tuple(Fraction(1, 2**m) for m in range(6))
+
+    def test_rational_numerator_and_denominator(self):
+        # (1/3)/((1 - x/2)(1 + x/3)) = (1/3) sum_m x^m sum_{k<=m} (1/2)^k (-1/3)^(m-k)
+        den = Polynomial("x", [1, Fraction(-1, 2)]) * Polynomial("x", [1, Fraction(1, 3)])
+        s = series_quotient(Polynomial("x", [Fraction(1, 3)]), den, 6)
+        want = [
+            sum(Fraction(1, 3) * Fraction(1, 2) ** k * Fraction(-1, 3) ** (m - k) for k in range(m + 1))
+            for m in range(7)
+        ]
+        assert s.coeffs == tuple(want)
 
     def test_constant_term_must_be_one(self):
         with pytest.raises(ValueError):
