@@ -4,16 +4,17 @@ Subcommands: table (the P(n,s) triangle by any of the four methods), psi and
 phi (the two polynomial families), series (u_s coefficients), and verify (the
 full cross-check battery).  Data goes to stdout, diagnostics to stderr.  Exit
 codes: 0 success, 1 verification failure, 2 usage error or Ctrl-C, nothing
-else.
+else.  A command computes its whole result before the first byte of stdout,
+then streams the text, so a failed computation leaves stdout empty.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
+from typing import Iterable
 
 from . import bruteforce, closedform, genfun, serialize, triangle, verification
 
@@ -30,20 +31,17 @@ METHODS = {
 
 @dataclasses.dataclass(frozen=True)
 class OutputDocument:
-    """One rendered result: a payload dict for json, preformatted text otherwise."""
+    """One computed result, and the text chunks that print it (see serialize.encode)."""
 
-    payload: dict | str
-    format: str
+    payload: Iterable[str]
     failed: tuple[str, ...] = ()  # names of the failed verification checks
 
-    def render(self) -> str:
-        if self.format == "json":
-            return json.dumps(self.payload, indent=2)
+    def render(self) -> Iterable[str]:
         return self.payload
 
 
 def _document(kind: str, fmt: str, value, **params) -> OutputDocument:
-    return OutputDocument(serialize.encode(kind, fmt, value, **params), fmt)
+    return OutputDocument(serialize.encode(kind, fmt, value, **params))
 
 
 def cmd_table(n_max: int, method: str = "recurrence", fmt: str = "json") -> OutputDocument:
@@ -72,7 +70,7 @@ def cmd_verify(
     results = verification.run_verification(n_max, s_max, i_max, k_max)
     failed = tuple(r.name for r in results if not r.passed)
     payload = serialize.encode("verification-report", fmt, results)
-    return OutputDocument(payload, fmt, failed), 1 if failed else 0
+    return OutputDocument(payload, failed), 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,10 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str) -> None:
-    """Print text to stdout; a reader that leaves early (`| head`) is not an error."""
+def _write(chunks: Iterable[str]) -> None:
+    """Print the chunks to stdout in turn; a reader that leaves early (`| head`) is not an error."""
     try:
-        print(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.write("\n")
         sys.stdout.flush()
     except BrokenPipeError:
         # keep the interpreter's flush at exit from failing on the closed pipe

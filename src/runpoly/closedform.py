@@ -94,12 +94,11 @@ def p_poly(j: int) -> BivariatePolynomial:
     """p_j(n, t) = sum_{k=0}^{j} a_k(n) b_{j-k}(t), degree j in each variable."""
     if j < 0:
         raise ValueError("j must be >= 0")
-    total = BivariatePolynomial(NT_VARS)
-    for k in range(j + 1):
-        an = BivariatePolynomial.from_univariate(a_poly(k), 0, NT_VARS)
-        bt = BivariatePolynomial.from_univariate(b_poly(j - k), 1, NT_VARS)
-        total = total + an * bt
-    return total
+    return BivariatePolynomial.sum(NT_VARS, (
+        BivariatePolynomial.from_univariate(a_poly(k), 0, NT_VARS)
+        * BivariatePolynomial.from_univariate(b_poly(j - k), 1, NT_VARS)
+        for k in range(j + 1)
+    ))
 
 
 def g_coefficient(i: int, j: int) -> int:
@@ -113,15 +112,12 @@ def phi_polys(i_max: int) -> list[BivariatePolynomial]:
     """Polynomial parts of phi_i(n, t) = sum_j g_{i,j} p_j, the common K(t) factor omitted."""
     if i_max < 0:
         raise ValueError("i_max must be >= 0")
-    parts = []
-    for i in range(i_max + 1):
-        part = BivariatePolynomial(NT_VARS)
-        for j in range(i // 2 + 1):
-            g = g_coefficient(i, j)
-            if g:
-                part = part + p_poly(j) * g
-        parts.append(part)
-    return parts
+    return [
+        BivariatePolynomial.sum(NT_VARS, (
+            p_poly(j) * g_coefficient(i, j) for j in range(i // 2 + 1) if g_coefficient(i, j)
+        ))
+        for i in range(i_max + 1)
+    ]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -262,14 +262,22 @@ class BivariatePolynomial:
             other = BivariatePolynomial.constant(self.vars, other)
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
-        self._check_vars(other)
-        nums, d = _over_lcm([*self.terms.values(), *other.terms.values()])
-        out = dict(zip(self.terms, nums))
-        for e, c in zip(other.terms, nums[len(self.terms) :]):
-            out[e] = out.get(e, 0) + c
-        return BivariatePolynomial._over(self.vars, out, d)
+        return BivariatePolynomial.sum(self.vars, (self, other))
 
     __radd__ = __add__
+
+    @classmethod
+    def sum(cls, vars: tuple[str, str], polys: Iterable[BivariatePolynomial]) -> BivariatePolynomial:
+        """The sum of polynomials in vars, added as integers over one common denominator."""
+        polys = list(polys)
+        for p in polys:
+            if p.vars != vars:
+                raise ValueError(f"variable mismatch: {vars} vs {p.vars}")
+        nums, d = _over_lcm(c for p in polys for c in p.terms.values())
+        out: dict[tuple[int, int], int] = {}
+        for e, c in zip((e for p in polys for e in p.terms), nums):
+            out[e] = out.get(e, 0) + c
+        return cls._over(vars, out, d)
 
     def __neg__(self):
         return BivariatePolynomial(self.vars, {e: -c for e, c in self.terms.items()})

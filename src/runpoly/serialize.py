@@ -5,25 +5,31 @@ as floats, so every JSON document round-trips bit-exactly.  Triangle counts
 are decimal strings too: rows past n = 20 overflow 64-bit consumers.  The
 triangle codecs lift the interpreter's int/str digit limit (Python 3.10.7+
 refuses past 4300 digits, which row entries reach near n = 1560) while they
-convert, and restore it after.
+convert, and restore it after; the encoders lift it for one row at a time and
+never hold it across a yield.
 
 The LaTeX emitters mirror the usual tabulated presentation: psi rows keep the
 K(s-i) prefactor symbolic and pull the coefficients over a common
 denominator; Phi rows factor out the content and the leading power of x.
 
 ENCODERS at the bottom holds the one encoder for each (document kind,
-format) pair the CLI prints; `encode` looks them up.  Decoders raise
-ValueError, and only ValueError, on a malformed document.
+format) pair the CLI prints; `encode` looks them up.  Every encoder returns
+its text as an iterable of chunks that join to the document: a triangle
+comes a row at a time, so its tens of megabytes of text never sit in memory
+at once.  Decoders raise ValueError, and only ValueError, on a malformed
+document.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import json
 import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Iterable, Iterator
 
 from .closedform import PsiPolynomial
 from .genfun import RationalGF
@@ -129,18 +135,6 @@ def doc_to_series(doc: dict) -> TruncatedSeries:
 
 
 @_any_int_digits()
-def triangle_to_doc(tri: RunCountTriangle) -> dict:
-    return {
-        "kind": "triangle",
-        "n_max": tri.n_max,
-        "rows": [
-            {"n": n, "counts": [str(c) for c in tri.row(n)]}
-            for n in range(2, tri.n_max + 1)
-        ],
-    }
-
-
-@_any_int_digits()
 def doc_to_triangle(doc: dict) -> RunCountTriangle:
     n_max, rows = _fields(doc, "triangle", n_max=int, rows=list)
     counts = []
@@ -156,12 +150,16 @@ def doc_to_triangle(doc: dict) -> RunCountTriangle:
 # TSV
 
 
-@_any_int_digits()
-def triangle_to_tsv(tri: RunCountTriangle) -> str:
-    lines = []
+def _triangle_lines(tri: RunCountTriangle, sep: str, end: str = "") -> Iterator[str]:
+    """One chunk per row: n and its counts joined by sep, then end; the chunks join to a line per row."""
     for n in range(2, tri.n_max + 1):
-        lines.append("\t".join([str(n)] + [str(c) for c in tri.row(n)]))
-    return "\n".join(lines)
+        with _any_int_digits():
+            line = sep.join(map(str, (n, *tri.row(n))))
+        yield ("" if n == 2 else "\n") + line + end
+
+
+def triangle_to_tsv(tri: RunCountTriangle) -> Iterator[str]:
+    return _triangle_lines(tri, "\t")
 
 
 def polynomial_to_tsv(p: Polynomial | TruncatedSeries, prefix: str = "") -> str:
@@ -282,14 +280,6 @@ def series_to_latex(ts: TruncatedSeries) -> str:
     return f"{head}+O({_power_text(ts.var, ts.order + 1)})"
 
 
-@_any_int_digits()
-def triangle_to_latex(tri: RunCountTriangle) -> str:
-    lines = []
-    for n in range(2, tri.n_max + 1):
-        lines.append(" & ".join([str(n)] + [str(c) for c in tri.row(n)]) + r" \\")
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # Whole documents, one encoder per (kind, format)
 #
@@ -334,40 +324,63 @@ def _report_json(results) -> dict:
     }
 
 
+def _triangle_json(tri: RunCountTriangle, method: str) -> Iterator[str]:
+    """The triangle document in the layout of json.dumps(doc, indent=2), a row per chunk."""
+    yield f'{{\n  "kind": "triangle",\n  "n_max": {tri.n_max},\n  "rows": ['
+    for n in range(2, tri.n_max + 1):
+        with _any_int_digits():
+            counts = '",\n        "'.join(map(str, tri.row(n)))
+        row = f'\n    {{\n      "n": {n},\n      "counts": [\n        "{counts}"\n      ]\n    }}'
+        yield row if n == 2 else "," + row
+    yield f'\n  ],\n  "method": {json.dumps(method)}\n}}'
+
+
+def _whole(to_text):
+    """An encoder for a small document: its whole text as one chunk."""
+    return lambda value, **params: [to_text(value, **params)]
+
+
+def _json(to_doc):
+    """A json encoder for a small document: json.dumps(doc, indent=2) as one chunk."""
+    return _whole(lambda value, **params: json.dumps(to_doc(value, **params), indent=2))
+
+
 ENCODERS = {
-    ("triangle", "json"): lambda tri, method: {**triangle_to_doc(tri), "method": method},
+    ("triangle", "json"): _triangle_json,
     ("triangle", "tsv"): triangle_to_tsv,
-    ("triangle", "latex"): triangle_to_latex,
-    ("psi", "json"): _psi_json,
-    ("psi", "tsv"): lambda family: _join_lines(
+    ("triangle", "latex"): lambda tri: _triangle_lines(tri, " & ", r" \\"),
+    ("psi", "json"): _json(_psi_json),
+    ("psi", "tsv"): _whole(lambda family: _join_lines(
         *(bivariate_to_tsv(psi.part, f"{psi.index}\t") for psi in family)
-    ),
-    ("psi", "latex"): lambda family: "\n".join(
+    )),
+    ("psi", "latex"): _whole(lambda family: "\n".join(
         f"{psi.index} & {psi_row_latex(psi)} \\\\" for psi in family
-    ),
-    ("phi", "json"): _phi_json,
-    ("phi", "tsv"): _phi_tsv,
-    ("phi", "latex"): lambda gf: (
+    )),
+    ("phi", "json"): _json(_phi_json),
+    ("phi", "tsv"): _whole(_phi_tsv),
+    ("phi", "latex"): _whole(lambda gf: (
         f"\\frac{{{phi_row_latex(gf.numerator)}}}{{{delta_latex(gf.denominator_factors)}}}"
-    ),
-    ("series", "json"): lambda ts, s: {**series_to_doc(ts), "s": s},
-    ("series", "tsv"): polynomial_to_tsv,
-    ("series", "latex"): series_to_latex,
-    ("verification-report", "json"): _report_json,
-    ("verification-report", "tsv"): lambda results: "\n".join(
+    )),
+    ("series", "json"): _json(lambda ts, s: {**series_to_doc(ts), "s": s}),
+    ("series", "tsv"): _whole(polynomial_to_tsv),
+    ("series", "latex"): _whole(series_to_latex),
+    ("verification-report", "json"): _json(_report_json),
+    ("verification-report", "tsv"): _whole(lambda results: "\n".join(
         f"{r.name}\t{r.status}\t{r.detail}" for r in results
-    ),
-    ("verification-report", "latex"): lambda results: "\n".join(
+    )),
+    ("verification-report", "latex"): _whole(lambda results: "\n".join(
         f"{r.name} & {r.status} \\\\" for r in results
-    ),
+    )),
 }
 
 
-def encode(kind: str, fmt: str, value, **params) -> dict | str:
-    """The document of the given kind for value: a dict for json, text otherwise.
+def encode(kind: str, fmt: str, value, **params) -> Iterable[str]:
+    """The text of the document of the given kind for value, as chunks to write in order.
 
-    Only json documents echo the request parameters (`method`, `s`); tsv and
-    latex carry the bare data.
+    The triangle encoders yield one chunk per row (json adds a header and a
+    footer); every other document is small and comes as one chunk.  Only json
+    documents echo the request parameters (`method`, `s`); tsv and latex
+    carry the bare data.
     """
     encoder = ENCODERS[kind, fmt]
     return encoder(value, **params) if fmt == "json" else encoder(value)

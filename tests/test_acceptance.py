@@ -6,6 +6,7 @@ comparison is exact equality; the printed timings are checked against each
 criterion's runtime budget.
 """
 
+import json
 import time
 
 from golden_tables import PHI_ROWS, PSI_ROWS, phi_row_poly, psi_row_terms
@@ -147,7 +148,8 @@ def test_criterion_7_mutation_sensitivity(monkeypatch):
 
     def verify_flags_failure(label):
         doc, code = cli.cmd_verify(n_max=8, s_max=4, i_max=5, k_max=3)
-        named = [c["name"] for c in doc.payload["checks"] if not c["passed"]]
+        report = json.loads("".join(doc.payload))
+        named = [c["name"] for c in report["checks"] if not c["passed"]]
         if code != 1 or not named:
             failures.append(f"{label}: exit {code}, named {named}")
 

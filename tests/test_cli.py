@@ -340,6 +340,47 @@ def test_ctrl_c_exits_two(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "interrupted\n")
 
 
+def test_closed_pipe_mid_json_is_not_an_error():
+    # the json triangle is written a row at a time; the reader leaves after the first bytes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "runpoly.cli", "table", "--n-max", "150"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(Path(runpoly.__file__).parents[1])},
+    )
+    assert proc.stdout.read(10) == b'{\n  "kind"'
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+
+
+def test_ctrl_c_mid_stream_exits_two(capsys, monkeypatch):
+    written = []
+
+    def interrupt_second_chunk(text):
+        if len(written) == 1:
+            raise KeyboardInterrupt
+        written.append(text)
+        return len(text)
+
+    with monkeypatch.context() as m:
+        m.setattr(sys.stdout, "write", interrupt_second_chunk)
+        code = cli.main(["table", "--n-max", "30"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "interrupted\n")
+    assert written[0].startswith('{\n  "kind": "triangle"')
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_arithmetic_error_leaves_stdout_empty(capsys, monkeypatch, fmt):
+    def broken(n_max):
+        raise closedform.NonIntegerResultError(f"P({n_max},2) evaluated to 1/2")
+
+    monkeypatch.setitem(cli.METHODS, "closed", broken)
+    code, out, err = run_cli(capsys, "table", "--n-max", "30", "--method", "closed", "--format", fmt)
+    assert (code, out, err) == (1, "", "verification failure: P(30,2) evaluated to 1/2\n")
+
+
 class TestParser:
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0

@@ -4,13 +4,14 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from runpoly.closedform import psi_polys
 from runpoly.genfun import delta_factors, phi_s_poly, u_s_series
 from runpoly.poly import Polynomial, TruncatedSeries
 from runpoly.serialize import (
+    _any_int_digits,
     encode,
     bivariate_to_doc,
     delta_latex,
@@ -27,12 +28,17 @@ from runpoly.serialize import (
     series_to_doc,
     series_to_latex,
     text_to_fraction,
-    triangle_to_doc,
     triangle_to_tsv,
 )
 from runpoly.triangle import RunCountTriangle, build_triangle
 
+DEFAULT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: None)()
 small_fractions = st.fractions(min_value=-100, max_value=100, max_denominator=64)
+
+
+def triangle_doc(tri: RunCountTriangle) -> dict:
+    """The triangle's json document, as the CLI prints it."""
+    return json.loads("".join(encode("triangle", "json", tri, method="recurrence")))
 
 
 class TestRationalText:
@@ -85,10 +91,10 @@ class TestJsonDocs:
 
     def test_triangle_round_trip(self):
         tri = build_triangle(12)
-        assert doc_to_triangle(json.loads(json.dumps(triangle_to_doc(tri)))) == tri
+        assert doc_to_triangle(triangle_doc(tri)) == tri
 
     def test_triangle_counts_are_strings(self):
-        doc = triangle_to_doc(build_triangle(25))
+        doc = triangle_doc(build_triangle(25))
         assert all(
             isinstance(c, str) for row in doc["rows"] for c in row["counts"]
         )
@@ -115,7 +121,7 @@ CODECS = [
     (polynomial_to_doc(Polynomial("x", [1, Fraction(-1, 2)])), doc_to_polynomial, polynomial_to_doc),
     (bivariate_to_doc(psi_polys(3)[3].part), doc_to_bivariate, bivariate_to_doc),
     (series_to_doc(TruncatedSeries("x", 3, [0, 2, Fraction(1, 3)])), doc_to_series, series_to_doc),
-    (triangle_to_doc(build_triangle(4)), doc_to_triangle, triangle_to_doc),
+    (triangle_doc(build_triangle(4)), doc_to_triangle, triangle_doc),
 ]
 json_values = st.recursive(
     st.none()
@@ -162,7 +168,7 @@ def test_mutated_doc_round_trips_or_raises_value_error(data):
 
 class TestTsv:
     def test_triangle_rows(self):
-        text = triangle_to_tsv(build_triangle(4))
+        text = "".join(triangle_to_tsv(build_triangle(4)))
         assert text.splitlines() == ["2\t2", "3\t2\t4", "4\t2\t12\t10"]
 
     def test_polynomial_rows(self):
@@ -215,15 +221,55 @@ class TestCountsPastTheDigitLimit:
     )
     def test_encoders_write_every_digit(self, fmt, params, last_line):
         before = self.limit()
-        doc = encode("triangle", fmt, self.HUGE, **params)
+        text = "".join(encode("triangle", fmt, self.HUGE, **params))
         if fmt == "json":
-            assert doc["rows"][1]["counts"] == [self.DIGITS, "4"]
+            assert json.loads(text)["rows"][1]["counts"] == [self.DIGITS, "4"]
         else:
-            assert doc.splitlines()[-1] == last_line
+            assert text.splitlines()[-1] == last_line
         assert self.limit() == before
 
     def test_json_round_trip(self):
         before = self.limit()
-        text = json.dumps(encode("triangle", "json", self.HUGE, method="recurrence"))
+        text = "".join(encode("triangle", "json", self.HUGE, method="recurrence"))
         assert doc_to_triangle(json.loads(text)) == self.HUGE
         assert self.limit() == before
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv", "latex"])
+    def test_limit_is_not_held_across_a_chunk(self, fmt):
+        params = {"method": "recurrence"} if fmt == "json" else {}
+        chunks = encode("triangle", fmt, self.HUGE, **params)
+        for chunk in chunks:  # suspended after each chunk, up to the huge row
+            assert self.limit() == DEFAULT_DIGIT_LIMIT
+            if self.DIGITS in chunk:
+                break
+        chunks.close()  # abandoned partway, as when the reader goes away
+        assert self.limit() == DEFAULT_DIGIT_LIMIT
+
+
+def reference_text(tri: RunCountTriangle, fmt: str, method: str) -> str:
+    """The document built without the encoders: the dict through json.dumps, or joined lines."""
+    with _any_int_digits():
+        rows = [(n, [str(c) for c in row]) for n, row in enumerate(tri.rows, start=2)]
+    if fmt == "json":
+        doc = {
+            "kind": "triangle",
+            "n_max": tri.n_max,
+            "rows": [{"n": n, "counts": counts} for n, counts in rows],
+            "method": method,
+        }
+        return json.dumps(doc, indent=2)
+    sep, end = ("\t", "") if fmt == "tsv" else (" & ", " \\\\")
+    return "\n".join(sep.join([str(n), *counts]) + end for n, counts in rows)
+
+
+@given(
+    tri=st.integers(2, 60).map(build_triangle),
+    fmt=st.sampled_from(["json", "tsv", "latex"]),
+    method=st.sampled_from(["recurrence", "closed", "series", "brute"]),
+)
+@example(tri=TestCountsPastTheDigitLimit.HUGE, fmt="json", method="closed")
+@example(tri=TestCountsPastTheDigitLimit.HUGE, fmt="tsv", method="recurrence")
+@example(tri=TestCountsPastTheDigitLimit.HUGE, fmt="latex", method="recurrence")
+def test_streamed_triangle_is_byte_identical_to_the_reference(tri, fmt, method):
+    params = {"method": method} if fmt == "json" else {}
+    assert "".join(encode("triangle", fmt, tri, **params)) == reference_text(tri, fmt, method)
