@@ -155,14 +155,18 @@ def closed_row(n: int, s_max: int) -> tuple[int, ...]:
         p[t] = [w.numerator * sum(a[k] * b[j - k] for k in range(j + 1)) for j in range(len(b))]
         den[t] = w.denominator * da * db
     d = lcm(*den.values())
+    for t in p:  # bring every p_j over the row's one denominator d
+        p[t] = [d // den[t] * c for c in p[t]]
     row = []
     for s in range(1, s_max + 1):
-        # g_{i,j} with i = s - t is nonzero only at j = i//2 and i//2 - 1
-        total = sum(
-            d // den[t] * g_coefficient(s - t, j) * p[t][j]
-            for t in range(1, s + 1)
-            for j in range(max((s - t) // 2 - 1, 0), (s - t) // 2 + 1)
-        )
+        # g_{i,j} with i = s - t picks p_{i/2} + p_{i/2-1} for even i, -2 p_{(i-1)/2} for odd i
+        total = 0
+        for t in range(1, s + 1):
+            i, pt = s - t, p[t]
+            if i % 2:
+                total -= 2 * pt[i // 2]
+            else:
+                total += pt[i // 2] + (pt[i // 2 - 1] if i else 0)
         q, r = divmod(total, d)
         if r or q < 0:
             raise NonIntegerResultError(f"P({n},{s}) evaluated to {Fraction(total, d)}")

@@ -1,19 +1,18 @@
 """Exact polynomial arithmetic and series division over the rationals.
 
-Coefficients are `fractions.Fraction` throughout; no floating point enters any
-computation.  Sums, products, exact division, series division and linear
-substitution run on integer numerators over one common denominator, and
-build one Fraction per output coefficient.  Three representations are
-provided:
+No floating point enters any computation.  A polynomial is stored as integer
+numerators over one denominator, kept reduced: den > 0, gcd(den, *nums) == 1,
+no trailing or zero terms; the zero polynomial has no numerators, den 1 and
+degree -1.  Operations work on these integers; `coeffs`, `coefficient` and
+`terms` are exact Fraction views made on demand.  Three representations:
 
-  Polynomial           dense, one variable, ascending coefficient tuple
-  BivariatePolynomial  sparse, two variables, {(e1, e2): coefficient} terms
-  TruncatedSeries      dense, one variable, fixed truncation order; a value
-                       with no arithmetic, made by series_quotient
+  Polynomial           dense, one variable: nums[j] / den is the coefficient of var**j
+  BivariatePolynomial  sparse, two variables: {(e1, e2): numerator} over den
+  TruncatedSeries      dense, one variable, fixed truncation order, Fraction
+                       coefficients; a value with no arithmetic, made by series_quotient
 
 Every polynomial carries a variable tag ("x", "z", "n", "t", ...) which is
 checked whenever two polynomials are combined; mixing tags raises ValueError.
-The zero polynomial has an empty coefficient tuple and degree -1.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -31,38 +30,63 @@ class NonzeroRemainderError(ArithmeticError):
     """Exact polynomial division left a nonzero remainder."""
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def _ratio(value) -> tuple[int, int]:
+    """An exact rational as (numerator, denominator > 0)."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _over_lcm(coeffs: Iterable[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of coeffs over their least common denominator."""
-    coeffs = list(coeffs)
-    d = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
+def _over_lcm(values: Iterable) -> tuple[list[int], int]:
+    """Integer numerators of exact rationals over their least common denominator."""
+    pairs = [_ratio(v) for v in values]
+    d = lcm(*(q for _, q in pairs))
+    return [p * (d // q) for p, q in pairs], d
+
+
+def _linear_powers(scale, shift, top: int) -> tuple[list[list[int]], int]:
+    """Integer rows and d with (scale*V + shift)**e = rows[e](V) / d**e for e <= top."""
+    (sp, sq), (hp, hq) = _ratio(scale), _ratio(shift)
+    d = lcm(sq, hq)
+    scale, shift = sp * (d // sq), hp * (d // hq)
+    rows = [[1]]
+    for _ in range(top):
+        prev = rows[-1]
+        rows.append([shift * lo + scale * hi for lo, hi in zip(prev + [0], [0] + prev)])
+    return rows, d
 
 
 @dataclasses.dataclass(frozen=True, init=False)
 class Polynomial:
     """Dense univariate polynomial with exact rational coefficients.
 
-    coeffs[j] is the coefficient of var**j; trailing zeros are stripped, so
+    The coefficient of var**j is nums[j] / den, in the reduced form above;
     Polynomial("x", []) is the zero polynomial (degree -1).
     """
 
     var: str
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, var: str, coeffs: Iterable = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
+        self._set(var, *_over_lcm(coeffs))
+
+    def _set(self, var: str, nums: list[int], den: int) -> Polynomial:
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
+        return self
+
+    @classmethod
+    def _over(cls, var: str, nums: list[int], den: int) -> Polynomial:
+        """The polynomial with coefficients nums[j] / den, reduced; nums is consumed."""
+        return object.__new__(cls)._set(var, nums, den)
 
     @classmethod
     def constant(cls, var: str, value) -> Polynomial:
@@ -73,16 +97,20 @@ class Polynomial:
         return cls(var, [0] * degree + [coeff])
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coefficient(self, j: int) -> Fraction:
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
+        if 0 <= j < len(self.nums):
+            return Fraction(self.nums[j], self.den)
         return Fraction(0)
 
     def _check_var(self, other: Polynomial) -> None:
@@ -95,33 +123,30 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_var(other)
-        nums, d = _over_lcm(self.coeffs + other.coeffs)
-        a, b = nums[: len(self.coeffs)], nums[len(self.coeffs) :]
+        g = gcd(self.den, other.den)
+        a, b = [c * (other.den // g) for c in self.nums], [c * (self.den // g) for c in other.nums]
         if len(a) < len(b):
             a, b = b, a
         for j, c in enumerate(b):
             a[j] += c
-        return Polynomial(self.var, [Fraction(c, d) for c in a])
+        return Polynomial._over(self.var, a, self.den * (other.den // g))
 
     __radd__ = __add__
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            a, d = _over_lcm(self.coeffs)
-            d *= other.denominator
-            return Polynomial(self.var, [Fraction(c * other.numerator, d) for c in a])
+            p, q = other.numerator, other.denominator
+            return Polynomial._over(self.var, [c * p for c in self.nums], self.den * q)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_var(other)
-        a, da = _over_lcm(self.coeffs)
-        b, db = _over_lcm(other.coeffs)
+        a, b = sorted((self.nums, other.nums), key=len)  # the short factor outside
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
-        d = da * db
-        return Polynomial(self.var, [Fraction(c, d) for c in out])
+        return Polynomial._over(self.var, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -139,12 +164,12 @@ class Polynomial:
         return result
 
     def evaluate(self, a) -> Fraction:
-        """Exact Horner evaluation at the point a."""
-        a = _as_fraction(a)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
+        """Exact Horner evaluation at the point a = p/q, in integers."""
+        p, q = _ratio(a)
+        acc = 0
+        for j, c in enumerate(reversed(self.nums)):
+            acc = acc * p + c * q**j
+        return Fraction(acc, self.den * q ** max(self.degree, 0))
 
     def scale_argument(self, c, new_var: str | None = None) -> Polynomial:
         """Return q with q(X) = p(c*X); coefficient j picks up a factor c**j.
@@ -152,21 +177,21 @@ class Polynomial:
         The result is tagged new_var when given (substituting c*x for z turns
         a polynomial in z into one in x).
         """
-        p, q = _as_fraction(c).as_integer_ratio()
-        a, d = _over_lcm(self.coeffs)
-        top = max(len(a) - 1, 0)
-        d *= q**top
-        out = [x * p**j * q ** (top - j) for j, x in enumerate(a)]
-        return Polynomial(new_var or self.var, [Fraction(x, d) for x in out])
+        p, q = _ratio(c)
+        top = max(self.degree, 0)
+        out = [x * p**j * q ** (top - j) for j, x in enumerate(self.nums)]
+        return Polynomial._over(new_var or self.var, out, self.den * q**top)
 
     def compose_affine(self, scale, shift, new_var: str | None = None) -> Polynomial:
         """Return p(scale*X + shift) as a polynomial in X."""
-        var = new_var or self.var
-        arg = Polynomial(var, [shift, scale])
-        acc = Polynomial(var)
-        for c in reversed(self.coeffs):
-            acc = acc * arg + c
-        return acc
+        top = max(self.degree, 0)
+        rows, d = _linear_powers(scale, shift, top)
+        out = [0] * (top + 1)
+        for e, c in enumerate(self.nums):
+            c *= d ** (top - e)
+            for j, w in enumerate(rows[e]):
+                out[j] += c * w
+        return Polynomial._over(new_var or self.var, out, self.den * d**top)
 
     def div_exact(self, d: Polynomial) -> Polynomial:
         """Return q with self = q*d exactly.
@@ -177,10 +202,9 @@ class Polynomial:
         self._check_var(d)
         if d.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        # self = rem/da and d = div/dd; rem and quot share the scale `den`,
-        # which grows only when a quotient step does not divide evenly.
-        rem, da = _over_lcm(self.coeffs)
-        div, dd = _over_lcm(d.coeffs)
+        # self = rem/self.den and d = div/d.den; rem and quot share the scale
+        # `den`, which grows only when a quotient step does not divide evenly.
+        rem, div = list(self.nums), d.nums
         dn, lead = d.degree, div[-1]
         quot = [0] * max(len(rem) - dn, 0)
         den = 1
@@ -196,38 +220,41 @@ class Polynomial:
                     rem[j] -= c * y
         for j, c in enumerate(rem):
             if c:
-                c = Fraction(c, den * da)
+                c = Fraction(c, den * self.den)
                 raise NonzeroRemainderError(f"remainder has {c} at {self.var}^{j}")
-        return Polynomial(self.var, [Fraction(c * dd, den * da) for c in quot])
+        return Polynomial._over(self.var, [c * d.den for c in quot], den * self.den)
 
 
 class BivariatePolynomial:
     """Sparse exact polynomial in two tagged variables.
 
-    Terms map exponent pairs (e1, e2) to nonzero Fraction coefficients, e.g.
-    {(1, 0): 2, (0, 1): -1} with vars ("n", "s") is 2n - s.  Treat instances
-    as immutable: every operation returns a new polynomial.
+    nums maps exponent pairs (e1, e2) to nonzero integer numerators over den,
+    in the reduced form above; BivariatePolynomial(("n", "s"), {(1, 0): 2,
+    (0, 1): -1}) is 2n - s.  Treat instances as immutable: every operation
+    returns a new polynomial.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "nums", "den")
 
     def __init__(self, vars: tuple[str, str], terms: Mapping | None = None):
-        v = (str(vars[0]), str(vars[1]))
-        clean: dict[tuple[int, int], Fraction] = {}
-        for (e1, e2), c in (terms or {}).items():
-            c = _as_fraction(c)
-            if c != 0:
-                clean[(int(e1), int(e2))] = c
-        self.vars = v
-        self.terms = clean
+        terms = terms or {}
+        nums, den = _over_lcm(terms.values())
+        keys = ((int(e1), int(e2)) for e1, e2 in terms)
+        self._set((str(vars[0]), str(vars[1])), dict(zip(keys, nums)), den)
+
+    def _set(self, vars: tuple[str, str], nums: dict, den: int) -> BivariatePolynomial:
+        nums = {e: c for e, c in nums.items() if c}
+        g = gcd(den, *nums.values()) if den > 0 else -gcd(den, *nums.values())
+        if g != 1:
+            nums = {e: c // g for e, c in nums.items()}
+            den //= g
+        self.vars, self.nums, self.den = vars, nums, den
+        return self
 
     @classmethod
-    def _over(cls, vars: tuple[str, str], nums: Mapping, d: int) -> BivariatePolynomial:
-        """The polynomial with terms nums[e] / d for integer nums, zeros dropped."""
-        p = object.__new__(cls)
-        p.vars = vars
-        p.terms = {e: Fraction(c, d) for e, c in nums.items() if c}
-        return p
+    def _over(cls, vars: tuple[str, str], nums: Mapping, den: int) -> BivariatePolynomial:
+        """The polynomial with terms nums[e] / den for integer nums, reduced."""
+        return object.__new__(cls)._set(vars, nums, den)
 
     @classmethod
     def constant(cls, vars: tuple[str, str], value) -> BivariatePolynomial:
@@ -238,15 +265,16 @@ class BivariatePolynomial:
         """Embed a univariate polynomial as variable 0 or 1 of a bivariate one."""
         if p.var != vars[position]:
             raise ValueError(f"variable mismatch: {p.var!r} is not {vars[position]!r}")
-        if position == 0:
-            return cls(vars, {(j, 0): c for j, c in enumerate(p.coeffs)})
-        return cls(vars, {(0, j): c for j, c in enumerate(p.coeffs)})
+        keys = ((j, 0) if position == 0 else (0, j) for j in range(len(p.nums)))
+        return cls._over(vars, dict(zip(keys, p.nums)), p.den)
+
+    @property
+    def terms(self) -> dict[tuple[int, int], Fraction]:
+        return {e: Fraction(c, self.den) for e, c in self.nums.items()}
 
     def degree_in(self, position: int) -> int:
         """Degree in the first (0) or second (1) variable; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(e[position] for e in self.terms)
+        return max((e[position] for e in self.nums), default=-1)
 
     def _check_vars(self, other: BivariatePolynomial) -> None:
         if self.vars != other.vars:
@@ -255,7 +283,10 @@ class BivariatePolynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return (self.vars, self.den, self.nums) == (other.vars, other.den, other.nums)
+
+    def __hash__(self) -> int:
+        return hash((self.vars, self.den, frozenset(self.nums.items())))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -273,46 +304,41 @@ class BivariatePolynomial:
         for p in polys:
             if p.vars != vars:
                 raise ValueError(f"variable mismatch: {vars} vs {p.vars}")
-        nums, d = _over_lcm(c for p in polys for c in p.terms.values())
+        d = lcm(*(p.den for p in polys))
         out: dict[tuple[int, int], int] = {}
-        for e, c in zip((e for p in polys for e in p.terms), nums):
-            out[e] = out.get(e, 0) + c
+        for p in polys:
+            f = d // p.den
+            for e, c in p.nums.items():
+                out[e] = out.get(e, 0) + c * f
         return cls._over(vars, out, d)
 
     def __neg__(self):
-        return BivariatePolynomial(self.vars, {e: -c for e, c in self.terms.items()})
+        return BivariatePolynomial._over(self.vars, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BivariatePolynomial.constant(self.vars, other)
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            a, d = _over_lcm(self.terms.values())
-            out = {e: c * other.numerator for e, c in zip(self.terms, a)}
-            return BivariatePolynomial._over(self.vars, out, d * other.denominator)
+            p, q = other.numerator, other.denominator
+            out = {e: c * p for e, c in self.nums.items()}
+            return BivariatePolynomial._over(self.vars, out, self.den * q)
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
         self._check_vars(other)
-        a, da = _over_lcm(self.terms.values())
-        b, db = _over_lcm(other.terms.values())
         out: dict[tuple[int, int], int] = {}
-        for (a1, a2), x in zip(self.terms, a):
-            for (b1, b2), y in zip(other.terms, b):
+        for (a1, a2), x in self.nums.items():
+            for (b1, b2), y in other.nums.items():
                 e = (a1 + b1, a2 + b2)
                 out[e] = out.get(e, 0) + x * y
-        return BivariatePolynomial._over(self.vars, out, da * db)
+        return BivariatePolynomial._over(self.vars, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def evaluate(self, a, b) -> Fraction:
         """Evaluate at the point (a, b); agrees with iterated univariate evaluation."""
-        a, b = _as_fraction(a), _as_fraction(b)
-        total = Fraction(0)
-        for (e1, e2), c in self.terms.items():
-            total += c * a**e1 * b**e2
-        return total
+        total = sum(c * a**e1 * b**e2 for (e1, e2), c in self.nums.items())
+        return Fraction(total, self.den)
 
     def substitute_linear(self, position: int, scale, shift, new_name: str | None = None) -> BivariatePolynomial:
         """Replace variable `position` by scale*V + shift (V optionally renamed).
@@ -320,27 +346,20 @@ class BivariatePolynomial:
         Used both for the reparametrization t -> s - i and for argument shifts
         like n -> n - 1 inside recurrence checks.
         """
-        (scale, shift), den = _over_lcm([_as_fraction(scale), _as_fraction(shift)])
         names = list(self.vars)
         if new_name is not None:
             names[position] = new_name
-        vars = (names[0], names[1])
-        # (scale*V + shift)**e = rows[e](V) / den**e with integer rows[e];
-        # every term is brought over den**top.
-        top = max((e[position] for e in self.terms), default=0)
-        rows = [[1]]
-        for _ in range(top):
-            prev = rows[-1]
-            rows.append([shift * lo + scale * hi for lo, hi in zip(prev + [0], [0] + prev)])
-        nums, d = _over_lcm(self.terms.values())
+        # every term is brought over d**top
+        top = max(self.degree_in(position), 0)
+        rows, d = _linear_powers(scale, shift, top)
         out: dict[tuple[int, int], int] = {}
-        for (e1, e2), c in zip(self.terms, nums):
+        for (e1, e2), c in self.nums.items():
             e, keep = (e1, e2) if position == 0 else (e2, e1)
-            c *= den ** (top - e)
+            c *= d ** (top - e)
             for j, w in enumerate(rows[e]):
                 key = (j, keep) if position == 0 else (keep, j)
                 out[key] = out.get(key, 0) + c * w
-        return BivariatePolynomial._over(vars, out, d * den**top)
+        return BivariatePolynomial._over((names[0], names[1]), out, self.den * d**top)
 
     def __repr__(self) -> str:
         return f"BivariatePolynomial({self.vars}, {self.terms})"
@@ -361,7 +380,7 @@ class TruncatedSeries:
     def __init__(self, var: str, order: int, coeffs: Iterable = ()):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [Fraction(*_ratio(c)) for c in coeffs]
         if len(cs) > order + 1:
             cs = cs[: order + 1]
         cs += [Fraction(0)] * (order + 1 - len(cs))
@@ -383,26 +402,26 @@ def series_quotient(num: Polynomial, den: Polynomial, order: int) -> TruncatedSe
     Recurrence: c_m = num_m - sum_{k=1..m} den_k c_{m-k}.
     """
     num._check_var(den)
-    if den.coefficient(0) != 1:
+    if den.nums[:1] != (den.den,):
         raise ValueError("series_quotient requires a denominator with constant term 1")
-    # With D the lcm of den's denominators, den(D*y) has integer coefficients
-    # and constant term 1; e_m = dn * D**m * c_m then satisfies the same
-    # recurrence in integers, where dn is num's common denominator.
-    D = lcm(*(c.denominator for c in den.coeffs))
-    rev = [(c * D**k).numerator for k, c in enumerate(den.coeffs)][:0:-1]
-    a, dn = _over_lcm(num.coeffs[: order + 1])
-    e = [c * D**m for m, c in enumerate(a)] + [0] * (order + 1 - len(a))
+    # den = N/D with integer N and N_0 = D, so den(D*y) has integer
+    # coefficients N_k D**(k-1) and constant term 1; e_m = num.den * D**m * c_m
+    # then satisfies the same recurrence in integers.
+    D = den.den
+    rev = [c * D**k for k, c in enumerate(den.nums[1:])][::-1]
+    e = [c * D**m for m, c in enumerate(num.nums[: order + 1])]
+    e += [0] * (order + 1 - len(e))
     for m in range(1, order + 1):
         k = min(m, len(rev))  # e_m -= sum_{k} den_k D^k e_{m-k}
         e[m] -= sum(map(mul, rev[len(rev) - k :], e[m - k : m]))
-    return TruncatedSeries(den.var, order, [Fraction(c, dn * D**m) for m, c in enumerate(e)])
+    return TruncatedSeries(den.var, order, [Fraction(c, num.den * D**m) for m, c in enumerate(e)])
 
 
 def binom_rational(top, k: int) -> Fraction:
     """Generalized binomial coefficient top*(top-1)***(top-k+1)/k!, exact."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    top = _as_fraction(top)
+    top = Fraction(*_ratio(top))
     num = Fraction(1)
     for j in range(k):
         num *= top - j
@@ -419,5 +438,5 @@ def binom_poly_in_n(shift, scale, k: int) -> Polynomial:
         raise ValueError("k must be >= 0")
     acc = Polynomial.constant("n", 1)
     for j in range(k):
-        acc = acc * Polynomial("n", [_as_fraction(shift) - j, scale])
+        acc = acc * Polynomial("n", [shift - j, scale])
     return acc * Fraction(1, factorial(k))

@@ -22,6 +22,7 @@ class IdentityReport:
     name: str
     i_max: int
     failures: tuple[int, ...]
+    residual: BivariatePolynomial | None = None  # lhs - rhs at the first failing i
 
     @property
     def ok(self) -> bool:
@@ -30,7 +31,11 @@ class IdentityReport:
     def __str__(self) -> str:
         if self.ok:
             return f"{self.name}: all identities hold for 1 <= i <= {self.i_max}"
-        return f"{self.name}: FAILED at i = {', '.join(map(str, self.failures))}"
+        (e1, e2), (v1, v2) = min(self.residual.nums), self.residual.vars
+        return (
+            f"{self.name}: FAILED at i = {', '.join(map(str, self.failures))}; lhs - rhs at i = "
+            f"{self.failures[0]} has lowest term {self.residual.terms[e1, e2]}*{v1}^{e1}*{v2}^{e2}"
+        )
 
 
 def verify_phi_recurrence(phi_family: list[BivariatePolynomial], i_max: int) -> IdentityReport:
@@ -45,7 +50,7 @@ def verify_phi_recurrence(phi_family: list[BivariatePolynomial], i_max: int) -> 
     n = BivariatePolynomial(vars, {(1, 0): 1})
     t = BivariatePolynomial(vars, {(0, 1): 1})
     zero = BivariatePolynomial(vars)
-    failures = []
+    failures, residual = [], None
     for i in range(1, i_max + 1):
         cur = phi_family[i]
         prev1 = phi_family[i - 1].substitute_linear(0, 1, -1)
@@ -54,7 +59,8 @@ def verify_phi_recurrence(phi_family: list[BivariatePolynomial], i_max: int) -> 
         rhs = (t + i) * cur.substitute_linear(0, 1, -1) + 2 * prev1 + (n - t - i) * prev2
         if lhs != rhs:
             failures.append(i)
-    return IdentityReport(name="phi-recurrence", i_max=i_max, failures=tuple(failures))
+            residual = residual or lhs - rhs
+    return IdentityReport("phi-recurrence", i_max, tuple(failures), residual)
 
 
 def verify_psi_recurrence(psi_family: list[PsiPolynomial], i_max: int) -> IdentityReport:
@@ -70,7 +76,7 @@ def verify_psi_recurrence(psi_family: list[PsiPolynomial], i_max: int) -> Identi
     n = BivariatePolynomial(vars, {(1, 0): 1})
     s = BivariatePolynomial(vars, {(0, 1): 1})
     zero = BivariatePolynomial(vars)
-    failures = []
+    failures, residual = [], None
     for i in range(1, i_max + 1):
         q_i = psi_family[i].part
         q_prev = psi_family[i - 1].part
@@ -83,4 +89,5 @@ def verify_psi_recurrence(psi_family: list[PsiPolynomial], i_max: int) -> Identi
         )
         if lhs != rhs:
             failures.append(i)
-    return IdentityReport(name="psi-recurrence", i_max=i_max, failures=tuple(failures))
+            residual = residual or lhs - rhs
+    return IdentityReport("psi-recurrence", i_max, tuple(failures), residual)

@@ -28,7 +28,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Iterator
 
 from .closedform import PsiPolynomial
@@ -193,7 +193,7 @@ def _power_text(var: str, e: int) -> str:
     return f"{var}^{e}" if e < 10 else f"{var}^{{{e}}}"
 
 
-def _join_signed(parts: list[tuple[Fraction, str]]) -> str:
+def _join_signed(parts: list[tuple[Fraction | int, str]]) -> str:
     """Render (coefficient, power-text) monomials as a signed sum."""
     pieces = []
     for c, pow_text in parts:
@@ -223,17 +223,12 @@ def _prefactor(i: int) -> str:
 
 def psi_row_latex(psi: PsiPolynomial) -> str:
     """One table row: prefactor K(s-i), expanded numerator, common denominator."""
-    prefactor = _prefactor(psi.index)
-    terms = psi.part.terms
-    if not terms:
+    prefactor, den = _prefactor(psi.index), psi.part.den
+    if not psi.part.nums:
         return f"{prefactor}(0)"
-    den = lcm(*(c.denominator for c in terms.values()))
-    # highest n power first, s powers breaking ties
-    ordered = sorted(terms.items(), key=lambda item: (-item[0][0], -item[0][1]))
-    parts = [
-        (c * den, _power_text("n", en) + _power_text("s", es))
-        for (en, es), c in ordered
-    ]
+    # integer numerators over the common denominator, highest n power first, s powers breaking ties
+    ordered = sorted(psi.part.nums.items(), key=lambda item: (-item[0][0], -item[0][1]))
+    parts = [(c, _power_text("n", en) + _power_text("s", es)) for (en, es), c in ordered]
     numerator = _join_signed(parts)
     if numerator == "1" and den == 1:
         return prefactor
@@ -245,17 +240,17 @@ def phi_row_latex(p: Polynomial) -> str:
     """One table row: content and leading x power factored out of Phi_s."""
     if p.is_zero:
         return "0"
-    if any(c.denominator != 1 for c in p.coeffs):
+    if p.den != 1:
         return polynomial_to_latex(p)
-    power = next(j for j, c in enumerate(p.coeffs) if c)
-    inner = [int(c) for c in p.coeffs[power:]]
+    power = next(j for j, c in enumerate(p.nums) if c)
+    inner = p.nums[power:]
     content = gcd(*inner)
     inner = [c // content for c in inner]
     head = f"{content}{_power_text(p.var, power)}"
     if inner == [1]:
         return head
     parts = [
-        (Fraction(c), _power_text(p.var, j))
+        (c, _power_text(p.var, j))
         for j, c in sorted(enumerate(inner), reverse=True)
         if c
     ]

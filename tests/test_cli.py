@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -225,6 +227,24 @@ class TestVerify:
         assert not check.passed
         assert check.detail == "DualPathMismatchError: Phi_2 at x^2: cleared blocks give 0 != 1"
 
+    def test_recurrence_failure_names_lowest_term(self, monkeypatch):
+        real = closedform.psi_polys
+
+        def broken(i_max):
+            # Q_3 + n*s/2 leaves (s^2 - 3ns)/2 as lhs - rhs of the psi recurrence at i = 3
+            family = real(i_max)
+            bump = family[3].part + BivariatePolynomial(("n", "s"), {(1, 1): Fraction(1, 2)})
+            family[3] = dataclasses.replace(family[3], part=bump)
+            return family
+
+        monkeypatch.setattr(closedform, "psi_polys", broken)
+        results = {r.name: r for r in verification.run_verification(6, 4, 5, 3)}
+        check = results["psi-recurrence"]
+        assert not check.passed
+        assert check.detail == (
+            "psi-recurrence: FAILED at i = 3, 4, 5; lhs - rhs at i = 3 has lowest term 1/2*n^0*s^2"
+        )
+
 
 VERIFY_ARGS = ["verify", "--n-max", "3", "--s-max", "1", "--i-max", "1", "--k-max", "0"]
 VERIFY_CHECKS = [
@@ -315,6 +335,27 @@ def test_pinned_output(capsys, command, fmt):
     code, out, err = run_cli(capsys, *PINNED_ARGS[command], "--format", fmt)
     assert (code, err) == (0, "")
     assert out == PINNED[command, fmt] + "\n"
+
+
+# The sha256 of stdout of the benchmark's `families` commands at seed 0, copied
+# from perfbench/baseline.json: any changed byte of Phi_s, Q_i or a series shows here.
+FAMILIES_SHA256 = {
+    ("phi", "--s", "20", "--format", "json"):
+        "793937e4a988bb0c4becdf0cf674d97c54db02061bb18ecb4aadd11d50eca26e",
+    ("psi", "--i-max", "40"):
+        "42d57743a489f9ad81e9142123e3960d54ce0a918cbbf8a6dab1d8a01e0c00a9",
+    ("series", "--s", "20", "--order", "60", "--format", "json"):
+        "82bcf651e1437f98a426c838ee2e3b5b63ce9bd8d1a28d18ca675451db479c78",
+    ("table", "--method", "series", "--n-max", "20", "--format", "json"):
+        "0ac9c0013e1f863fc5ad00b1c164d05e1f703db7d126c1065237675f4009a05e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FAMILIES_SHA256), ids=" ".join)
+def test_families_output_matches_benchmark_sha256(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == FAMILIES_SHA256[argv]
 
 
 def test_closed_pipe_is_not_an_error():

@@ -1,6 +1,8 @@
 """Exact-core tests: polynomial ring arithmetic, series, and binomials."""
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,29 @@ def bipolys(vars=("n", "s"), max_deg=3):
     return st.dictionaries(term, coefficients, max_size=6).map(
         lambda d: BivariatePolynomial(vars, d)
     )
+
+
+def assert_reduced(p):
+    """den > 0, gcd(den, *nums) == 1, and no trailing (dense) or zero (sparse) numerator."""
+    nums = list(p.nums.values()) if isinstance(p, BivariatePolynomial) else list(p.nums)
+    assert type(p.den) is int and p.den > 0
+    assert gcd(p.den, *nums) == 1
+    if isinstance(p, BivariatePolynomial):
+        assert all(type(c) is int and c for c in nums)
+    else:
+        assert all(type(c) is int for c in nums) and nums[-1:] != [0]
+
+
+def stripped(cs):
+    """The reduced Fractions of a coefficient list, trailing zeros dropped."""
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def nonzero(terms):
+    return {e: Fraction(c) for e, c in terms.items() if c}
 
 
 class TestPolynomialBasics:
@@ -138,6 +163,77 @@ class TestNormalForm:
         p = Polynomial("x", [Fraction(1, 6), Fraction(1, 4)]) * Polynomial("x", [Fraction(2, 3), 6])
         assert p.coeffs == (Fraction(1, 9), Fraction(7, 6), Fraction(3, 2))
         assert all(type(c) is Fraction for c in p.coeffs)
+
+    @given(st.lists(coefficients, max_size=6))
+    @settings(max_examples=100)
+    def test_construction_is_reduced(self, cs):
+        p = Polynomial("x", cs)
+        assert_reduced(p)
+        assert p.coeffs == stripped(cs)
+        assert all(type(c) is Fraction for c in p.coeffs)
+        padded = [0, *p.coeffs] + [0] * (len(cs) + 1 - len(p.coeffs))
+        assert [p.coefficient(j) for j in range(-1, len(cs) + 1)] == padded
+
+    @given(polys(), polys(), small_fractions)
+    @settings(max_examples=100)
+    def test_results_are_reduced(self, p, q, c):
+        total, product = p + q, p * q
+        for r in (total, product, p * c, p + c):
+            assert_reduced(r)
+        assert total.coeffs == stripped(a + b for a, b in zip_longest(p.coeffs, q.coeffs, fillvalue=0))
+        want = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs))
+        for i, a in enumerate(p.coeffs):
+            for j, b in enumerate(q.coeffs):
+                want[i + j] += a * b
+        assert product.coeffs == stripped(want)
+        if not q.is_zero:
+            quotient = product.div_exact(q)
+            assert_reduced(quotient)
+            assert quotient.coeffs == p.coeffs
+
+    @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficients, max_size=6))
+    @settings(max_examples=100)
+    def test_bivariate_construction_is_reduced(self, terms):
+        p = BivariatePolynomial(("n", "s"), terms)
+        assert_reduced(p)
+        assert p.terms == nonzero(terms)
+        assert all(type(c) is Fraction for c in p.terms.values())
+
+    @given(bipolys(), bipolys(), small_fractions, small_fractions)
+    @settings(max_examples=100)
+    def test_bivariate_results_are_reduced(self, p, q, scale, shift):
+        total, product = p + q, p * q
+        for r in (total, product, -p, p - q, p * scale, p.substitute_linear(0, scale, shift),
+                  p.substitute_linear(1, scale, shift, new_name="t")):
+            assert_reduced(r)
+        want = dict(p.terms)
+        for e, c in q.terms.items():
+            want[e] = want.get(e, 0) + c
+        assert total.terms == nonzero(want)
+        want = {}
+        for (a1, a2), a in p.terms.items():
+            for (b1, b2), b in q.terms.items():
+                want[a1 + b1, a2 + b2] = want.get((a1 + b1, a2 + b2), 0) + a * b
+        assert product.terms == nonzero(want)
+
+    def test_routes_to_one_value_compare_and_hash_equal(self):
+        p, q = Polynomial("x", [Fraction(2, 4), Fraction(3, 3)]), Polynomial("x", [Fraction(1, 2), 1])
+        assert (p.nums, p.den) == ((1, 2), 2)
+        assert p == q and hash(p) == hash(q)
+        b = BivariatePolynomial(("n", "s"), {(0, 0): Fraction(2, 4), (1, 0): Fraction(3, 3)})
+        c = BivariatePolynomial.from_univariate(q.compose_affine(1, 0, new_var="n"), 0, ("n", "s"))
+        assert (b.nums, b.den) == ({(0, 0): 1, (1, 0): 2}, 2)
+        assert b == c and hash(b) == hash(c)
+
+    @given(st.lists(coefficients, max_size=6), st.integers(-40, 40).filter(bool))
+    @settings(max_examples=100)
+    def test_scaled_routes_compare_and_hash_equal(self, cs, k):
+        p = Polynomial("x", cs)
+        q = Polynomial("x", [c * k for c in cs]) * Fraction(1, k)
+        assert p == q and hash(p) == hash(q)
+        b = BivariatePolynomial.from_univariate(p, 1, ("n", "x"))
+        c = BivariatePolynomial(("n", "x"), {(0, j): c * k for j, c in enumerate(cs)}) * Fraction(1, k)
+        assert b == c and hash(b) == hash(c)
 
 
 class TestDivExact:
