@@ -1,28 +1,32 @@
 """Ground-truth run counting over every permutation.
 
 A run is a maximal interval of consecutive increasing or decreasing entries;
-a monotone permutation has exactly one run, and every permutation of n >= 2
-elements has between 1 and n-1 runs.  The oracle counts all n! permutations
-by a dynamic programme over prefixes: the run count of a prefix depends only
-on the set of values used, the last value, and whether the last step rose, so
-prefixes sharing those three are tallied together.  It never uses the
-three-term recurrence.  It is capped at n = 11.
+every permutation of n >= 2 elements has between 1 and n-1 runs.  The oracle
+counts all n! permutations by a dynamic programme over prefixes, never using
+the three-term recurrence.  A prefix is standardised to the state (b, rising):
+b unused values lie below its last value, and rising says whether its last
+step rose; the runs its completions add depend on the state alone.  Appending
+the j-th smallest unused value below the last gives (j, fell), one more run
+after a rise; appending the j-th smallest above gives (b + j, rose), one more
+run after a fall.  Each layer has O(n) states, filled by two running sums.
+
+A tally packs the number of prefixes with k+1 runs into lane k of one int,
+`factorial(n).bit_length()` bits wide: no lane exceeds n!, so sums never carry
+between lanes, and adding a run is a shift by one lane.  `ENUMERATION_CAP`
+stays at 11 although the oracle runs far past it: the traced benchmark counts
+brute-force work as the sum of n! over the rows built, and that counter must
+be replaced before the cap can rise.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+from math import factorial
 from typing import Sequence
 
 from .triangle import RunCountTriangle
 
 ENUMERATION_CAP = 11
-
-# A tally packs the number of prefixes with k+1 runs into bits
-# [k*_LANE, (k+1)*_LANE) of one int.  No lane exceeds 11! < 2**64, so adding
-# tallies never carries from one lane into the next, and appending a step that
-# flips direction (one more run) is a shift by one lane.
-_LANE = 64
-_LANE_MASK = (1 << _LANE) - 1
 
 
 def count_runs(values: Sequence[int]) -> int:
@@ -48,29 +52,20 @@ def count_runs(values: Sequence[int]) -> int:
 def _run_count_row(n: int) -> tuple[int, ...]:
     """P(n, s) for s = 1..n-1, tallied over all n! permutations of range(n).
 
-    A state is a set of used values, the last value and whether the last step
-    rose, keyed as the int ((mask*n + last)*2 + rising); its value is the
-    packed tally of the prefixes in that state by run count.
+    `rose[b]` and `fell[b]` are the packed tallies of the states (b, rose)
+    and (b, fell).  After two values there are b + 1 rising prefixes and
+    n - 1 - b falling ones in state b, each with one run.
     """
-    states: dict[int, int] = {}
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                states[(((1 << a | 1 << b) * n + b) << 1) | (b > a)] = 1
+    lane = factorial(n).bit_length()
+    rose, fell = list(range(1, n)), list(range(n - 1, 0, -1))
     for _ in range(n - 2):
-        grown: dict[int, int] = {}
-        for key, tally in states.items():
-            mask, last = divmod(key >> 1, n)
-            flipped = tally << _LANE
-            down, up = (flipped, tally) if key & 1 else (tally, flipped)
-            for v in range(n):
-                if not mask >> v & 1:
-                    rising = v > last
-                    nxt = (((mask | 1 << v) * n + v) << 1) | rising
-                    grown[nxt] = grown.get(nxt, 0) + (up if rising else down)
-        states = grown
-    total = sum(states.values())
-    return tuple((total >> (_LANE * k)) & _LANE_MASK for k in range(n - 1))
+        up = [r + (f << lane) for r, f in zip(rose, fell)]
+        down = [f + (r << lane) for r, f in zip(rose, fell)]
+        rose = list(accumulate(up))[:-1]  # (k, rose) from every b <= k
+        fell = list(accumulate(reversed(down)))[-2::-1]  # (j, fell) from every b > j
+    total = rose[0] + fell[0]
+    mask = (1 << lane) - 1
+    return tuple(total >> (lane * k) & mask for k in range(n - 1))
 
 
 def brute_triangle(n_max: int) -> RunCountTriangle:

@@ -38,29 +38,40 @@ class IdentityReport:
         )
 
 
+def _check(name: str, parts: list[BivariatePolynomial], i_max: int, sides) -> IdentityReport:
+    """Report the i in 1..i_max where sides(n, x, i, p_i, p_{i-1}, p_{i-2}) = (lhs, rhs) differ.
+
+    n and x are the variables of the parts p_i; p_{-1} is the zero polynomial.
+    """
+    if i_max < 1 or i_max >= len(parts):
+        raise ValueError(f"i_max must be in 1..{len(parts) - 1}, got {i_max}")
+    vars = parts[0].vars
+    n = BivariatePolynomial(vars, {(1, 0): 1})
+    x = BivariatePolynomial(vars, {(0, 1): 1})
+    zero = BivariatePolynomial(vars)
+    failures, residual = [], None
+    for i in range(1, i_max + 1):
+        lhs, rhs = sides(n, x, i, parts[i], parts[i - 1], parts[i - 2] if i >= 2 else zero)
+        if lhs != rhs:
+            failures.append(i)
+            residual = residual or lhs - rhs
+    return IdentityReport(name, i_max, tuple(failures), residual)
+
+
 def verify_phi_recurrence(phi_family: list[BivariatePolynomial], i_max: int) -> IdentityReport:
     """Check t*phi_i(n,t) = (t+i)*phi_i(n-1,t) + 2*phi_{i-1}(n-1,t) + (n-t-i)*phi_{i-2}(n-1,t).
 
     `phi_family[i]` is the polynomial part of phi_i in (n, t); the common K(t)
     factor is already cancelled.  phi_{-1} = 0 and part(phi_0) = 1.
     """
-    if i_max < 1 or i_max >= len(phi_family):
-        raise ValueError(f"i_max must be in 1..{len(phi_family) - 1}, got {i_max}")
-    vars = phi_family[0].vars
-    n = BivariatePolynomial(vars, {(1, 0): 1})
-    t = BivariatePolynomial(vars, {(0, 1): 1})
-    zero = BivariatePolynomial(vars)
-    failures, residual = [], None
-    for i in range(1, i_max + 1):
-        cur = phi_family[i]
-        prev1 = phi_family[i - 1].substitute_linear(0, 1, -1)
-        prev2 = phi_family[i - 2].substitute_linear(0, 1, -1) if i >= 2 else zero
-        lhs = t * cur
-        rhs = (t + i) * cur.substitute_linear(0, 1, -1) + 2 * prev1 + (n - t - i) * prev2
-        if lhs != rhs:
-            failures.append(i)
-            residual = residual or lhs - rhs
-    return IdentityReport("phi-recurrence", i_max, tuple(failures), residual)
+
+    def sides(n, t, i, cur, prev1, prev2):
+        if i >= 2:  # phi_{-1} = 0 is used unshifted
+            prev2 = prev2.substitute_linear(0, 1, -1)
+        rhs = (t + i) * cur.substitute_linear(0, 1, -1) + 2 * prev1.substitute_linear(0, 1, -1)
+        return t * cur, rhs + (n - t - i) * prev2
+
+    return _check("phi-recurrence", phi_family, i_max, sides)
 
 
 def verify_psi_recurrence(psi_family: list[PsiPolynomial], i_max: int) -> IdentityReport:
@@ -70,24 +81,13 @@ def verify_psi_recurrence(psi_family: list[PsiPolynomial], i_max: int) -> Identi
     which is cancelled; what remains is an identity between the stored
     polynomial parts Q_i.  Q_{-1} = 0 and Q_0 = 1.
     """
-    if i_max < 1 or i_max >= len(psi_family):
-        raise ValueError(f"i_max must be in 1..{len(psi_family) - 1}, got {i_max}")
-    vars = psi_family[0].part.vars
-    n = BivariatePolynomial(vars, {(1, 0): 1})
-    s = BivariatePolynomial(vars, {(0, 1): 1})
-    zero = BivariatePolynomial(vars)
-    failures, residual = [], None
-    for i in range(1, i_max + 1):
-        q_i = psi_family[i].part
-        q_prev = psi_family[i - 1].part
-        q_prev2 = psi_family[i - 2].part if i >= 2 else zero
-        lhs = (s - i) * q_i
+
+    def sides(n, s, i, q_i, q_prev, q_prev2):
         rhs = (
             s * q_i.substitute_linear(0, 1, -1)
             + 2 * q_prev.substitute_linear(0, 1, -1).substitute_linear(1, 1, -1)
             + (n - s) * q_prev2.substitute_linear(0, 1, -1).substitute_linear(1, 1, -2)
         )
-        if lhs != rhs:
-            failures.append(i)
-            residual = residual or lhs - rhs
-    return IdentityReport("psi-recurrence", i_max, tuple(failures), residual)
+        return (s - i) * q_i, rhs
+
+    return _check("psi-recurrence", [q.part for q in psi_family], i_max, sides)

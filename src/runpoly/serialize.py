@@ -114,6 +114,8 @@ def doc_to_bivariate(doc: dict) -> BivariatePolynomial:
         exponents = term[:2] if isinstance(term, list) and len(term) == 3 else ()
         if not (exponents and all(type(e) is int and e >= 0 for e in exponents)):
             raise ValueError(f"expected a term [e1, e2, coefficient], got {term!r:.40}")
+        if (term[0], term[1]) in parsed:
+            raise ValueError(f"duplicate term for exponents ({term[0]}, {term[1]})")
         parsed[term[0], term[1]] = text_to_fraction(term[2])
     return BivariatePolynomial(tuple(names), parsed)
 

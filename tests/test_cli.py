@@ -358,6 +358,23 @@ def test_families_output_matches_benchmark_sha256(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == FAMILIES_SHA256[argv]
 
 
+# The same for the seed-0 `verify` command and the closed-form `tables` command:
+# the verify report pins every check's detail, and the closed table every count.
+VERIFY_AND_TABLES_SHA256 = {
+    ("verify", "--n-max", "20", "--s-max", "10", "--i-max", "10", "--k-max", "20", "--format", "json"):
+        "7fd54fa0255a18679bd3d252ce599916999fc3e52a4398be0c4f3f2c67f72f30",
+    ("table", "--method", "closed", "--n-max", "40", "--format", "json"):
+        "1e1371131b2f25a92f3f995a26ecb00dabd955cececdebd3285badbee00b51b9",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_AND_TABLES_SHA256), ids=" ".join)
+def test_verify_and_tables_output_match_benchmark_sha256(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_AND_TABLES_SHA256[argv]
+
+
 def test_closed_pipe_is_not_an_error():
     # about 1 MB of output, far more than a pipe buffers
     proc = subprocess.Popen(

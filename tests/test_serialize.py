@@ -109,6 +109,7 @@ class TestJsonDocs:
             (doc_to_triangle, {"kind": "triangle", "n_max": 5, "rows": [{"n": 2, "counts": ["7"]}]}),
             (doc_to_polynomial, {"kind": "polynomial"}),
             (doc_to_series, {"kind": "series", "variable": "x", "order": "2", "coefficients": []}),
+            (doc_to_bivariate, {"kind": "polynomial", "variables": ["n", "s"], "terms": [[1, 0, "1"], [1, 0, "2"]]}),
         ],
     )
     def test_malformed_doc_rejected(self, decode, doc):

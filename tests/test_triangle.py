@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from runpoly.bruteforce import brute_triangle, count_runs
+from runpoly.bruteforce import ENUMERATION_CAP, brute_triangle, count_runs
 from runpoly.triangle import build_triangle
 
 
@@ -62,6 +62,9 @@ class TestBruteTriangle:
         t = brute_triangle(7)
         for n in range(2, 8):
             assert sum(t.row(n)) == factorial(n)
+
+    def test_cap_row_matches_recurrence(self):
+        assert brute_triangle(ENUMERATION_CAP).rows == build_triangle(ENUMERATION_CAP).rows
 
     def test_matches_literal_enumeration(self):
         t = brute_triangle(8)
