@@ -24,14 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from .poly import (
-    BivariatePolynomial,
-    Polynomial,
-    TruncatedSeries,
-    _over_lcm,
-    binom_poly_in_n,
-    binom_rational,
-)
+from .poly import BivariatePolynomial, Polynomial, TruncatedSeries, _over_lcm, binom_rational
 from .triangle import RunCountTriangle
 
 
@@ -48,8 +41,11 @@ def K(s: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def a_poly(k: int) -> Polynomial:
-    """a_k as a degree-k polynomial in n: the (n-3)/2-choose-k column, signed."""
-    return binom_poly_in_n(Fraction(-3, 2), Fraction(1, 2), k) * (-1) ** k
+    """a_k(n) = (-1)^k binom((n-3)/2, k) = prod_{j<k} (n-3-2j) / ((-2)^k k!), degree k in n."""
+    acc = Polynomial.constant("n", 1)
+    for j in range(k):
+        acc = acc * Polynomial("n", [-3 - 2 * j, 1])
+    return acc * Fraction(1, (-2) ** k * factorial(k))
 
 
 def a_value(k: int, n: int) -> Fraction:
@@ -134,7 +130,7 @@ class PsiPolynomial:
 def psi_polys(i_max: int) -> list[PsiPolynomial]:
     """The weights Q_i(n, s): phi parts reparametrized by t -> s - i."""
     return [
-        PsiPolynomial(index=i, part=part.substitute_linear(1, 1, -i, new_name="s"))
+        PsiPolynomial(index=i, part=part.substitute_linear(1, -i, new_name="s"))
         for i, part in enumerate(phi_polys(i_max))
     ]
 

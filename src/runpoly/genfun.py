@@ -136,7 +136,7 @@ def _atilde_coeffs_formula(k: int) -> list[Fraction]:
 def _atilde_coeffs_division(k: int) -> list[Fraction]:
     """atilde_k(p) by dividing out (1+z)^(k+1) and Taylor-shifting to z = -1."""
     quotient = atilde_poly(k).div_exact(_one_plus_z(k + 1))
-    shifted = quotient.compose_affine(1, -1)  # coefficients in powers of (1+z)
+    shifted = quotient.shift(-1)  # coefficients in powers of (1+z)
     return [(-1) ** k * shifted.coefficient(p) for p in range(k + 1)]
 
 

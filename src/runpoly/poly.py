@@ -14,6 +14,11 @@ degree -1.  Operations work on these integers; `coeffs`, `coefficient` and
 Every polynomial carries a variable tag ("x", "z", "n", "t", ...) which is
 checked whenever two polynomials are combined; mixing tags raises ValueError.
 
+Only the substitutions the families need are offered: integer argument
+shifts (shift, substitute_linear) and integer argument scaling
+(scale_argument).  series_quotient divides by a denominator with integer
+coefficients and constant term 1, as Delta_s and (1-z)^(k+1) are.
+
 All values are immutable after construction and all operations are pure.
 """
 
@@ -44,16 +49,13 @@ def _over_lcm(values: Iterable) -> tuple[list[int], int]:
     return [p * (d // q) for p, q in pairs], d
 
 
-def _linear_powers(scale, shift, top: int) -> tuple[list[list[int]], int]:
-    """Integer rows and d with (scale*V + shift)**e = rows[e](V) / d**e for e <= top."""
-    (sp, sq), (hp, hq) = _ratio(scale), _ratio(shift)
-    d = lcm(sq, hq)
-    scale, shift = sp * (d // sq), hp * (d // hq)
+def _shift_powers(shift: int, top: int) -> list[list[int]]:
+    """Integer rows with (V + shift)**e = sum_j rows[e][j] V**j for e <= top."""
     rows = [[1]]
     for _ in range(top):
         prev = rows[-1]
-        rows.append([shift * lo + scale * hi for lo, hi in zip(prev + [0], [0] + prev)])
-    return rows, d
+        rows.append([shift * lo + hi for lo, hi in zip(prev + [0], [0] + prev)])
+    return rows
 
 
 @dataclasses.dataclass(frozen=True, init=False)
@@ -171,27 +173,22 @@ class Polynomial:
             acc = acc * p + c * q**j
         return Fraction(acc, self.den * q ** max(self.degree, 0))
 
-    def scale_argument(self, c, new_var: str | None = None) -> Polynomial:
-        """Return q with q(X) = p(c*X); coefficient j picks up a factor c**j.
+    def scale_argument(self, c: int, new_var: str | None = None) -> Polynomial:
+        """Return q with q(X) = p(c*X) for an integer c; coefficient j picks up c**j.
 
         The result is tagged new_var when given (substituting c*x for z turns
         a polynomial in z into one in x).
         """
-        p, q = _ratio(c)
-        top = max(self.degree, 0)
-        out = [x * p**j * q ** (top - j) for j, x in enumerate(self.nums)]
-        return Polynomial._over(new_var or self.var, out, self.den * q**top)
+        out = [x * c**j for j, x in enumerate(self.nums)]
+        return Polynomial._over(new_var or self.var, out, self.den)
 
-    def compose_affine(self, scale, shift, new_var: str | None = None) -> Polynomial:
-        """Return p(scale*X + shift) as a polynomial in X."""
-        top = max(self.degree, 0)
-        rows, d = _linear_powers(scale, shift, top)
-        out = [0] * (top + 1)
-        for e, c in enumerate(self.nums):
-            c *= d ** (top - e)
-            for j, w in enumerate(rows[e]):
+    def shift(self, by: int) -> Polynomial:
+        """Return p(X + by) for an integer by, as a polynomial in the same variable."""
+        out = [0] * len(self.nums)
+        for c, row in zip(self.nums, _shift_powers(by, self.degree)):
+            for j, w in enumerate(row):
                 out[j] += c * w
-        return Polynomial._over(new_var or self.var, out, self.den * d**top)
+        return Polynomial._over(self.var, out, self.den)
 
     def div_exact(self, d: Polynomial) -> Polynomial:
         """Return q with self = q*d exactly.
@@ -340,8 +337,8 @@ class BivariatePolynomial:
         total = sum(c * a**e1 * b**e2 for (e1, e2), c in self.nums.items())
         return Fraction(total, self.den)
 
-    def substitute_linear(self, position: int, scale, shift, new_name: str | None = None) -> BivariatePolynomial:
-        """Replace variable `position` by scale*V + shift (V optionally renamed).
+    def substitute_linear(self, position: int, shift: int, new_name: str | None = None) -> BivariatePolynomial:
+        """Replace variable `position` by V + shift for an integer shift (V optionally renamed).
 
         Used both for the reparametrization t -> s - i and for argument shifts
         like n -> n - 1 inside recurrence checks.
@@ -349,17 +346,14 @@ class BivariatePolynomial:
         names = list(self.vars)
         if new_name is not None:
             names[position] = new_name
-        # every term is brought over d**top
-        top = max(self.degree_in(position), 0)
-        rows, d = _linear_powers(scale, shift, top)
+        rows = _shift_powers(shift, self.degree_in(position))
         out: dict[tuple[int, int], int] = {}
         for (e1, e2), c in self.nums.items():
             e, keep = (e1, e2) if position == 0 else (e2, e1)
-            c *= d ** (top - e)
             for j, w in enumerate(rows[e]):
                 key = (j, keep) if position == 0 else (keep, j)
                 out[key] = out.get(key, 0) + c * w
-        return BivariatePolynomial._over((names[0], names[1]), out, self.den * d**top)
+        return BivariatePolynomial._over((names[0], names[1]), out, self.den)
 
     def __repr__(self) -> str:
         return f"BivariatePolynomial({self.vars}, {self.terms})"
@@ -397,24 +391,21 @@ class TruncatedSeries:
 
 
 def series_quotient(num: Polynomial, den: Polynomial, order: int) -> TruncatedSeries:
-    """Expand num/den as a truncated series; requires den to have constant term exactly 1.
+    """Expand num/den as a truncated series.
 
-    Recurrence: c_m = num_m - sum_{k=1..m} den_k c_{m-k}.
+    den must have integer coefficients and constant term 1, else ValueError.
+    Then e_m = num.den * c_m satisfies, in integers,
+    e_m = num_m - sum_{k=1..m} den_k e_{m-k}.
     """
     num._check_var(den)
-    if den.nums[:1] != (den.den,):
-        raise ValueError("series_quotient requires a denominator with constant term 1")
-    # den = N/D with integer N and N_0 = D, so den(D*y) has integer
-    # coefficients N_k D**(k-1) and constant term 1; e_m = num.den * D**m * c_m
-    # then satisfies the same recurrence in integers.
-    D = den.den
-    rev = [c * D**k for k, c in enumerate(den.nums[1:])][::-1]
-    e = [c * D**m for m, c in enumerate(num.nums[: order + 1])]
-    e += [0] * (order + 1 - len(e))
+    if den.den != 1 or den.nums[:1] != (1,):
+        raise ValueError("series_quotient requires an integer denominator with constant term 1")
+    rev = den.nums[:0:-1]
+    e = list(num.nums[: order + 1]) + [0] * (order + 1 - len(num.nums))
     for m in range(1, order + 1):
-        k = min(m, len(rev))  # e_m -= sum_{k} den_k D^k e_{m-k}
+        k = min(m, len(rev))
         e[m] -= sum(map(mul, rev[len(rev) - k :], e[m - k : m]))
-    return TruncatedSeries(den.var, order, [Fraction(c, num.den * D**m) for m, c in enumerate(e)])
+    return TruncatedSeries(den.var, order, [Fraction(c, num.den) for c in e])
 
 
 def binom_rational(top, k: int) -> Fraction:
@@ -426,17 +417,3 @@ def binom_rational(top, k: int) -> Fraction:
     for j in range(k):
         num *= top - j
     return num / factorial(k)
-
-
-def binom_poly_in_n(shift, scale, k: int) -> Polynomial:
-    """The degree-k polynomial prod_{j=0..k-1}(scale*n + shift - j) / k! in n.
-
-    Evaluating at n0 gives binom_rational(scale*n0 + shift, k); this is the
-    polynomial extension of the half-integer binomial coefficient.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    acc = Polynomial.constant("n", 1)
-    for j in range(k):
-        acc = acc * Polynomial("n", [shift - j, scale])
-    return acc * Fraction(1, factorial(k))

@@ -66,10 +66,8 @@ def verify_phi_recurrence(phi_family: list[BivariatePolynomial], i_max: int) -> 
     """
 
     def sides(n, t, i, cur, prev1, prev2):
-        if i >= 2:  # phi_{-1} = 0 is used unshifted
-            prev2 = prev2.substitute_linear(0, 1, -1)
-        rhs = (t + i) * cur.substitute_linear(0, 1, -1) + 2 * prev1.substitute_linear(0, 1, -1)
-        return t * cur, rhs + (n - t - i) * prev2
+        rhs = (t + i) * cur.substitute_linear(0, -1) + 2 * prev1.substitute_linear(0, -1)
+        return t * cur, rhs + (n - t - i) * prev2.substitute_linear(0, -1)
 
     return _check("phi-recurrence", phi_family, i_max, sides)
 
@@ -84,9 +82,9 @@ def verify_psi_recurrence(psi_family: list[PsiPolynomial], i_max: int) -> Identi
 
     def sides(n, s, i, q_i, q_prev, q_prev2):
         rhs = (
-            s * q_i.substitute_linear(0, 1, -1)
-            + 2 * q_prev.substitute_linear(0, 1, -1).substitute_linear(1, 1, -1)
-            + (n - s) * q_prev2.substitute_linear(0, 1, -1).substitute_linear(1, 1, -2)
+            s * q_i.substitute_linear(0, -1)
+            + 2 * q_prev.substitute_linear(0, -1).substitute_linear(1, -1)
+            + (n - s) * q_prev2.substitute_linear(0, -1).substitute_linear(1, -2)
         )
         return (s - i) * q_i, rhs
 

@@ -56,29 +56,13 @@ class RunCountTriangle:
     def row_sums_are_factorials(self) -> bool:
         return all(sum(self.row(n)) == factorial(n) for n in range(2, self.n_max + 1))
 
-    def truncated(self, n_max: int) -> RunCountTriangle:
-        """Restriction to 2..n_max, for comparing tables of different heights."""
-        if not 2 <= n_max <= self.n_max:
-            raise ValueError(f"n_max must be in 2..{self.n_max}, got {n_max}")
-        return RunCountTriangle(n_max=n_max, rows=self.rows[: n_max - 1])
-
 
 def build_triangle(n_max: int) -> RunCountTriangle:
     """Compute P(n, s) for all 2 <= n <= n_max by the run-count recurrence."""
     rows = [(2,)]
     for n in range(3, n_max + 1):
-        prev = rows[-1]
-
-        def p(s: int) -> int:
-            # previous row covers 1..n-2
-            if s < 1 or s > n - 2:
-                return 0
-            return prev[s - 1]
-
-        rows.append(
-            tuple(
-                s * p(s) + 2 * p(s - 1) + (n - s) * p(s - 2)
-                for s in range(1, n)
-            )
-        )
+        prev = (0, 0, *rows[-1], 0)  # prev[s + 1] = P(n-1, s), 0 outside 1..n-2
+        rows.append(tuple(
+            s * prev[s + 1] + 2 * prev[s] + (n - s) * prev[s - 1] for s in range(1, n)
+        ))
     return RunCountTriangle(n_max=n_max, rows=tuple(rows))

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import runpoly
 from runpoly import bruteforce, cli, closedform, genfun, verification
@@ -448,3 +452,37 @@ class TestParser:
 
     def test_missing_subcommand_exits_two(self, capsys):
         assert cli.main([]) == 2
+
+
+# the integer options of each subcommand; every one is drawn from -5..3 below
+BOUNDS = {
+    "table": ("--n-max",),
+    "psi": ("--i-max",),
+    "phi": ("--s",),
+    "series": ("--s", "--order"),
+    "verify": ("--n-max", "--s-max", "--i-max", "--k-max"),
+}
+
+
+@st.composite
+def small_invocations(draw):
+    command = draw(st.sampled_from(sorted(BOUNDS)))
+    argv = [command]
+    for flag in BOUNDS[command]:
+        argv += [flag, str(draw(st.integers(-5, 3)))]
+    if command == "table":
+        argv += ["--method", draw(st.sampled_from(sorted(cli.METHODS)))]
+    return argv + ["--format", draw(st.sampled_from(cli.FORMATS + ("yaml",)))]
+
+
+@given(small_invocations())
+@settings(max_examples=300, deadline=None)
+def test_small_invocations_keep_the_exit_and_stream_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert out.getvalue() == "", argv
+    else:
+        assert err.getvalue() == "", argv

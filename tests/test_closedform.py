@@ -23,7 +23,7 @@ from runpoly.closedform import (
     phi_polys,
     psi_polys,
 )
-from runpoly.poly import BivariatePolynomial, Polynomial
+from runpoly.poly import BivariatePolynomial, Polynomial, binom_rational
 from runpoly.triangle import build_triangle
 
 
@@ -51,9 +51,19 @@ class TestBuildingBlocks:
         assert a_poly(1) == Polynomial("n", [Fraction(3, 2), Fraction(-1, 2)])
         assert a_value(2, 7) == 1  # binom(2, 2) with even sign
 
+    def test_a_two_factors(self):
+        # (n-3)(n-5)/8
+        assert a_poly(2) == Polynomial("n", [Fraction(15, 8), -1, Fraction(1, 8)])
+
     @given(st.integers(min_value=0, max_value=8), st.integers(min_value=2, max_value=40))
     def test_a_poly_matches_values(self, k, n):
         assert a_poly(k).evaluate(n) == a_value(k, n)
+
+    @given(st.fractions(min_value=-10, max_value=10, max_denominator=8))
+    @settings(max_examples=100)
+    def test_a_poly_matches_binom_at_rational_points(self, n0):
+        for k in range(6):
+            assert a_poly(k).evaluate(n0) == binom_rational((n0 - 3) / 2, k) * (-1) ** k
 
     def test_b_small(self):
         assert b_value(0, 1) == 1

@@ -110,7 +110,3 @@ class TestBuildTriangle:
     def test_agrees_with_brute_force(self):
         # overlap range n <= 8 here; the acceptance suite pushes to 10
         assert build_triangle(8).rows == brute_triangle(8).rows
-
-    def test_truncated_view(self):
-        t = build_triangle(12)
-        assert t.truncated(5).rows == build_triangle(5).rows
