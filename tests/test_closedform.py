@@ -51,6 +51,13 @@ class TestBuildingBlocks:
         assert a_poly(1) == Polynomial("n", [Fraction(3, 2), Fraction(-1, 2)])
         assert a_value(2, 7) == 1  # binom(2, 2) with even sign
 
+    def test_a_degree_zero_polynomial(self):
+        assert a_poly(0) == Polynomial.constant("n", 1)
+
+    def test_a_single_factor(self):
+        # -(n-3)/2
+        assert a_poly(1) == Polynomial("n", [Fraction(3, 2), Fraction(-1, 2)])
+
     def test_a_two_factors(self):
         # (n-3)(n-5)/8
         assert a_poly(2) == Polynomial("n", [Fraction(15, 8), -1, Fraction(1, 8)])
