@@ -11,12 +11,12 @@ then streams the text, so a failed computation leaves stdout empty.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from typing import Iterable
 
 from . import bruteforce, closedform, genfun, serialize, triangle, verification
+from .poly import Immutable
 
 FORMATS = ("json", "tsv", "latex")
 # The builders are looked up on their modules at call time, so a patched or
@@ -29,12 +29,14 @@ METHODS = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class OutputDocument:
+class OutputDocument(Immutable):
     """One computed result, and the text chunks that print it (see serialize.encode)."""
 
-    payload: Iterable[str]
-    failed: tuple[str, ...] = ()  # names of the failed verification checks
+    __slots__ = ("payload", "failed")
+
+    def __init__(self, payload: Iterable[str], failed: tuple[str, ...] = ()):
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "failed", failed)  # names of the failed verification checks
 
     def render(self) -> Iterable[str]:
         return self.payload

@@ -19,12 +19,11 @@ and K(t) t^n do not depend on s, so each is formed once per row.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from .poly import BivariatePolynomial, Polynomial, TruncatedSeries, _over_lcm, binom_rational
+from .poly import BivariatePolynomial, Immutable, Polynomial, TruncatedSeries, _over_lcm, binom_rational
 from .triangle import RunCountTriangle
 
 
@@ -116,12 +115,14 @@ def phi_polys(i_max: int) -> list[BivariatePolynomial]:
     ]
 
 
-@dataclasses.dataclass(frozen=True)
-class PsiPolynomial:
+class PsiPolynomial(Immutable):
     """psi_i(n, s) = K(s - i) * part(n, s); only the polynomial part is stored."""
 
-    index: int
-    part: BivariatePolynomial  # variables (n, s)
+    __slots__ = ("index", "part")
+
+    def __init__(self, index: int, part: BivariatePolynomial):
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "part", part)  # variables (n, s)
 
     def evaluate(self, n: int, s: int) -> Fraction:
         return K(s - self.index) * self.part.evaluate(n, s)

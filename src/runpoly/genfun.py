@@ -20,13 +20,12 @@ blocks a second, independent way.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from .closedform import K, b_value, g_coefficient
-from .poly import Polynomial, TruncatedSeries, binom_rational, series_quotient
+from .poly import Immutable, Polynomial, TruncatedSeries, binom_rational, series_quotient
 from .triangle import RunCountTriangle
 
 
@@ -46,23 +45,23 @@ def _expand_factors(var: str, factors) -> Polynomial:
     return prod
 
 
-@dataclasses.dataclass(frozen=True)
-class RationalGF:
+class RationalGF(Immutable):
     """A rational generating function numerator / prod (1 - c*x)^e.
 
     The denominator is kept factored as (parameter c, multiplicity e) pairs
     with distinct parameters.
     """
 
-    numerator: Polynomial
-    denominator_factors: tuple[tuple[Fraction, int], ...]
+    __slots__ = ("numerator", "denominator_factors")
 
-    def __post_init__(self):
-        params = [c for c, _ in self.denominator_factors]
+    def __init__(self, numerator: Polynomial, denominator_factors: tuple[tuple[Fraction, int], ...]):
+        params = [c for c, _ in denominator_factors]
         if len(set(params)) != len(params):
             raise ValueError("denominator parameters must be distinct")
-        if any(e < 1 for _, e in self.denominator_factors):
+        if any(e < 1 for _, e in denominator_factors):
             raise ValueError("denominator multiplicities must be >= 1")
+        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "denominator_factors", denominator_factors)
 
     @property
     def var(self) -> str:
@@ -227,8 +226,13 @@ def B_poly(i: int, k: int, t: int) -> Polynomial:
         g = g_coefficient(i, j)
         if g:
             weight += g * b_value(j - k, t)
-    scaled = phi_tilde_poly(k).scale_argument(t, new_var="x")
-    return scaled * (K(t) * weight)
+    return _scaled_phi_tilde(k, t) * (K(t) * weight)
+
+
+@lru_cache(maxsize=None)
+def _scaled_phi_tilde(k: int, t: int) -> Polynomial:
+    """PhiTilde_k(t*x), shared by the blocks B_{i,k}(x, t) of every i."""
+    return phi_tilde_poly(k).scale_argument(t, new_var="x")
 
 
 def phi_degree(s: int) -> int:

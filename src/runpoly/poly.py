@@ -24,7 +24,6 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import mul
@@ -58,17 +57,30 @@ def _shift_powers(shift: int, top: int) -> list[list[int]]:
     return rows
 
 
-@dataclasses.dataclass(frozen=True, init=False)
-class Polynomial:
+class Immutable:
+    """Base of the value types: assigning or deleting an attribute raises AttributeError.
+
+    Subclasses declare __slots__ and set them in __init__ with object.__setattr__.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class Polynomial(Immutable):
     """Dense univariate polynomial with exact rational coefficients.
 
     The coefficient of var**j is nums[j] / den, in the reduced form above;
-    Polynomial("x", []) is the zero polynomial (degree -1).
+    Polynomial("x", []) is the zero polynomial (degree -1).  Polynomials
+    compare and hash by value.
     """
 
-    var: str
-    nums: tuple[int, ...]
-    den: int
+    __slots__ = ("var", "nums", "den")
 
     def __init__(self, var: str, coeffs: Iterable = ()):
         self._set(var, *_over_lcm(coeffs))
@@ -114,6 +126,17 @@ class Polynomial:
         if 0 <= j < len(self.nums):
             return Fraction(self.nums[j], self.den)
         return Fraction(0)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return (self.var, self.den, self.nums) == (other.var, other.den, other.nums)
+
+    def __hash__(self) -> int:
+        return hash((self.var, self.den, self.nums))
+
+    def __repr__(self) -> str:
+        return f"Polynomial({self.var!r}, {list(self.coeffs)})"
 
     def _check_var(self, other: Polynomial) -> None:
         if self.var != other.var:
@@ -359,17 +382,14 @@ class BivariatePolynomial:
         return f"BivariatePolynomial({self.vars}, {self.terms})"
 
 
-@dataclasses.dataclass(frozen=True, init=False)
-class TruncatedSeries:
+class TruncatedSeries(Immutable):
     """Power series known exactly up to and including order `order`.
 
     coeffs holds exactly order + 1 coefficients: shorter input is padded with
     zeros, longer input is truncated.
     """
 
-    var: str
-    order: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("var", "order", "coeffs")
 
     def __init__(self, var: str, order: int, coeffs: Iterable = ()):
         if order < 0:
@@ -381,6 +401,14 @@ class TruncatedSeries:
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return (self.var, self.order, self.coeffs) == (other.var, other.order, other.coeffs)
+
+    def __repr__(self) -> str:
+        return f"TruncatedSeries({self.var!r}, {self.order}, {list(self.coeffs)})"
 
     def coefficient(self, j: int) -> Fraction:
         if j > self.order:

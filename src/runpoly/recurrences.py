@@ -9,20 +9,22 @@ of the two sides must have no terms at all.
 
 from __future__ import annotations
 
-import dataclasses
-
 from .closedform import PsiPolynomial
-from .poly import BivariatePolynomial
+from .poly import BivariatePolynomial, Immutable
 
 
-@dataclasses.dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Immutable):
     """Outcome of checking a family of indexed identities."""
 
-    name: str
-    i_max: int
-    failures: tuple[int, ...]
-    residual: BivariatePolynomial | None = None  # lhs - rhs at the first failing i
+    __slots__ = ("name", "i_max", "failures", "residual")
+
+    def __init__(
+        self, name: str, i_max: int, failures: tuple[int, ...], residual: BivariatePolynomial | None = None
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "i_max", i_max)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "residual", residual)  # lhs - rhs at the first failing i
 
     @property
     def ok(self) -> bool:

@@ -23,7 +23,6 @@ document.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import re
 import sys
@@ -317,7 +316,7 @@ def _report_json(results) -> dict:
     return {
         "kind": "verification-report",
         "passed": all(r.passed for r in results),
-        "checks": [dataclasses.asdict(r) for r in results],
+        "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
     }
 
 

@@ -11,26 +11,39 @@ n >= 3 (it would need an undefined P(1, .) at n = 2) and out-of-range values
 
 from __future__ import annotations
 
-import dataclasses
 from math import factorial
 from typing import Callable
 
+from .poly import Immutable
 
-@dataclasses.dataclass(frozen=True)
-class RunCountTriangle:
-    """Rows of P(n, s) for 2 <= n <= n_max; row for n holds s = 1..n-1."""
 
-    n_max: int
-    rows: tuple[tuple[int, ...], ...]
+class RunCountTriangle(Immutable):
+    """Rows of P(n, s) for 2 <= n <= n_max; row for n holds s = 1..n-1.
 
-    def __post_init__(self):
-        if self.n_max < 2:
-            raise ValueError(f"n_max must be >= 2, got {self.n_max}")
-        if len(self.rows) != self.n_max - 1:
-            raise ValueError(f"expected {self.n_max - 1} rows for n_max={self.n_max}")
-        for n, row in enumerate(self.rows, start=2):
+    Triangles compare by value.
+    """
+
+    __slots__ = ("n_max", "rows")
+
+    def __init__(self, n_max: int, rows: tuple[tuple[int, ...], ...]):
+        if n_max < 2:
+            raise ValueError(f"n_max must be >= 2, got {n_max}")
+        if len(rows) != n_max - 1:
+            raise ValueError(f"expected {n_max - 1} rows for n_max={n_max}")
+        for n, row in enumerate(rows, start=2):
             if len(row) != n - 1 or not all(type(c) is int and c >= 0 for c in row):
                 raise ValueError(f"row n={n} must hold {n - 1} non-negative integers")
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RunCountTriangle):
+            return NotImplemented
+        return (self.n_max, self.rows) == (other.n_max, other.rows)
+
+    def __repr__(self) -> str:
+        # never the counts: str() of a count past 4300 digits raises ValueError
+        return f"RunCountTriangle(n_max={self.n_max}, {len(self.rows)} rows)"
 
     @classmethod
     def tabulate(cls, n_max: int, count: Callable[[int, int], int]) -> RunCountTriangle:

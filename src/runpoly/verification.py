@@ -9,19 +9,20 @@ agreement.
 
 from __future__ import annotations
 
-import dataclasses
 from math import factorial
 from typing import Callable
 
 from . import bruteforce, closedform, genfun, recurrences, triangle
-from .poly import Polynomial
+from .poly import Immutable, Polynomial
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Immutable):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
     @property
     def status(self) -> str:

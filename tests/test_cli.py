@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -15,7 +14,10 @@ from hypothesis import strategies as st
 
 import runpoly
 from runpoly import bruteforce, cli, closedform, genfun, verification
+from runpoly.closedform import PsiPolynomial
+from runpoly.genfun import RationalGF
 from runpoly.poly import BivariatePolynomial, Polynomial
+from runpoly.triangle import RunCountTriangle
 
 
 def run_cli(capsys, *argv):
@@ -155,7 +157,7 @@ class TestVerify:
         def broken(i_max):
             family = real(i_max)
             bump = family[3].part + BivariatePolynomial.constant(("n", "s"), 1)
-            family[3] = dataclasses.replace(family[3], part=bump)
+            family[3] = PsiPolynomial(3, bump)
             return family
 
         monkeypatch.setattr(closedform, "psi_polys", broken)
@@ -198,7 +200,7 @@ class TestVerify:
             tri = real(n_max)
             rows = list(tri.rows)
             rows[3] = (rows[3][0], rows[3][1] + 1) + rows[3][2:]  # P(5, 2): 28 -> 29
-            return dataclasses.replace(tri, rows=tuple(rows))
+            return RunCountTriangle(tri.n_max, tuple(rows))
 
         monkeypatch.setattr(bruteforce, "brute_triangle", broken)
         results = {r.name: r for r in verification.run_verification(6, 2, 1, 0)}
@@ -212,7 +214,7 @@ class TestVerify:
         def broken(k):
             gf = real(k)
             if k == 1:  # one more z^3 over (1-z)^2 adds 1 at z^3
-                gf = dataclasses.replace(gf, numerator=gf.numerator + Polynomial.monomial("z", 3))
+                gf = RationalGF(gf.numerator + Polynomial.monomial("z", 3), gf.denominator_factors)
             return gf
 
         monkeypatch.setattr(genfun, "A_k_gf", broken)
@@ -238,7 +240,7 @@ class TestVerify:
             # Q_3 + n*s/2 leaves (s^2 - 3ns)/2 as lhs - rhs of the psi recurrence at i = 3
             family = real(i_max)
             bump = family[3].part + BivariatePolynomial(("n", "s"), {(1, 1): Fraction(1, 2)})
-            family[3] = dataclasses.replace(family[3], part=bump)
+            family[3] = PsiPolynomial(3, bump)
             return family
 
         monkeypatch.setattr(closedform, "psi_polys", broken)
@@ -391,6 +393,20 @@ def test_closed_pipe_is_not_an_error():
     proc.stdout.close()
     assert proc.wait(timeout=60) == 0
     assert proc.stderr.read() == b""
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # dataclasses pulls in inspect, a large share of every command's start-up;
+    # -S leaves out the site hooks, so only runpoly's own imports count
+    code = "import sys, runpoly.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(runpoly.__file__).parents[1])},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_ctrl_c_exits_two(capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Exact-core tests: polynomial ring arithmetic, series, and binomials."""
+"""Exact-core tests: polynomial ring arithmetic, series, binomials, and immutable values."""
 
 from fractions import Fraction
 from itertools import zip_longest
@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from runpoly.cli import OutputDocument
+from runpoly.closedform import psi_polys
+from runpoly.genfun import u_s_gf
 from runpoly.poly import (
     BivariatePolynomial,
     NonzeroRemainderError,
@@ -16,6 +19,9 @@ from runpoly.poly import (
     binom_rational,
     series_quotient,
 )
+from runpoly.recurrences import verify_psi_recurrence
+from runpoly.triangle import build_triangle
+from runpoly.verification import CheckResult
 
 small_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 small_ints = st.integers(-6, 6)
@@ -335,6 +341,29 @@ class TestBivariate:
         q = p.substitute_linear(1, -2, new_name="s")
         assert q.vars == ("n", "s")
         assert q == BivariatePolynomial(("n", "s"), {(0, 1): 1, (0, 0): -2})
+
+
+VALUES = {
+    "Polynomial": lambda: Polynomial("x", [1, 2]),
+    "TruncatedSeries": lambda: TruncatedSeries("x", 2, [1]),
+    "RunCountTriangle": lambda: build_triangle(3),
+    "OutputDocument": lambda: OutputDocument(["text"]),
+    "PsiPolynomial": lambda: psi_polys(1)[1],
+    "RationalGF": lambda: u_s_gf(1),
+    "IdentityReport": lambda: verify_psi_recurrence(psi_polys(2), 1),
+    "CheckResult": lambda: CheckResult("row-sums", True, "ok"),
+}
+
+
+@pytest.mark.parametrize("make", VALUES.values(), ids=VALUES)
+def test_value_types_are_immutable(make):
+    value = make()
+    name = value.__slots__[0]
+    with pytest.raises(AttributeError):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    assert not hasattr(value, "__dict__")  # slotted
 
 
 class TestTruncatedSeries:

@@ -1,8 +1,6 @@
-import dataclasses
-
 import pytest
 
-from runpoly.closedform import NT_VARS, phi_polys, psi_polys
+from runpoly.closedform import NT_VARS, PsiPolynomial, phi_polys, psi_polys
 from runpoly.poly import BivariatePolynomial
 from runpoly.recurrences import verify_phi_recurrence, verify_psi_recurrence
 
@@ -46,7 +44,7 @@ class TestPsiRecurrence:
     def test_detects_corrupted_weight(self):
         family = psi_polys(8)
         broken = family[3].part + BivariatePolynomial(("n", "s"), {(1, 1): 1})
-        family[3] = dataclasses.replace(family[3], part=broken)
+        family[3] = PsiPolynomial(3, broken)
         report = verify_psi_recurrence(family, 8)
         assert not report.ok
         assert 3 in report.failures
@@ -56,7 +54,7 @@ class TestPsiRecurrence:
         family = psi_polys(10)
         for i in (2, 7):
             bumped = family[i].part + BivariatePolynomial.constant(("n", "s"), 1)
-            family[i] = dataclasses.replace(family[i], part=bumped)
+            family[i] = PsiPolynomial(i, bumped)
         report = verify_psi_recurrence(family, 10)
         assert 2 in report.failures
         assert 7 in report.failures

@@ -235,6 +235,10 @@ class TestCountsPastTheDigitLimit:
         assert doc_to_triangle(json.loads(text)) == self.HUGE
         assert self.limit() == before
 
+    def test_repr_leaves_out_the_counts(self):
+        # Hypothesis prints the explicit examples of the streaming property with repr()
+        assert repr(self.HUGE) == "RunCountTriangle(n_max=3, 2 rows)"
+
     @pytest.mark.parametrize("fmt", ["json", "tsv", "latex"])
     def test_limit_is_not_held_across_a_chunk(self, fmt):
         params = {"method": "recurrence"} if fmt == "json" else {}
