@@ -5,12 +5,16 @@ phi (the two polynomial families), series (u_s coefficients), and verify (the
 full cross-check battery).  Data goes to stdout, diagnostics to stderr.  Exit
 codes: 0 success, 1 verification failure, 2 usage error or Ctrl-C, nothing
 else.  A command computes its whole result before the first byte of stdout,
-then streams the text, so a failed computation leaves stdout empty.
+then streams the text, so a failed computation leaves stdout empty.  The one
+exception is `table --method recurrence`: after its argument check it
+computes the triangle a row at a time as the row is written, in exact
+`Decimal` arithmetic that raises rather than round (see `DecimalTriangle`).
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import os
 import sys
 from typing import Iterable
@@ -19,10 +23,45 @@ from . import bruteforce, closedform, genfun, serialize, triangle, verification
 from .poly import Immutable
 
 FORMATS = ("json", "tsv", "latex")
-# The builders are looked up on their modules at call time, so a patched or
-# wrapped builder is the one that runs.
+
+# Decimal arithmetic that cannot round: a step that would lose a digit raises.
+EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation, decimal.Overflow],
+)
+
+
+class DecimalTriangle(Immutable):
+    """The recurrence triangle for the encoders: `n_max`, and `rows` made as they are read.
+
+    The rows are exact integral Decimals, since str() of one is linear in its
+    digits and str() of an int is quadratic.  Each row is computed inside
+    EXACT, whatever the ambient context, and at most two rows are held.  The
+    Decimals go only to str(): do no arithmetic on them outside EXACT.
+    """
+
+    __slots__ = ("n_max",)
+
+    def __init__(self, n_max: int):
+        if n_max < 2:
+            raise ValueError(f"n_max must be >= 2, got {n_max}")
+        object.__setattr__(self, "n_max", n_max)
+
+    @property
+    def rows(self):
+        rows = triangle.recurrence_rows(decimal.Decimal(2), self.n_max)
+        for _ in range(self.n_max - 1):
+            with decimal.localcontext(EXACT):
+                row = next(rows)
+            yield row
+
+
+# The builders from other modules are looked up on them at call time, so a
+# patched or wrapped builder is the one that runs.
 METHODS = {
-    "recurrence": lambda n_max: triangle.build_triangle(n_max),
+    "recurrence": DecimalTriangle,  # rejects n_max < 2 at once, then streams
     "closed": lambda n_max: closedform.closed_triangle(n_max),
     "series": lambda n_max: genfun.series_triangle(n_max),
     "brute": lambda n_max: bruteforce.brute_triangle(n_max),  # rejects n_max > ENUMERATION_CAP

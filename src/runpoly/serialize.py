@@ -16,8 +16,11 @@ ENCODERS at the bottom holds the one encoder for each (document kind,
 format) pair the CLI prints; `encode` looks them up.  Every encoder returns
 its text as an iterable of chunks that join to the document: a triangle
 comes a row at a time, so its tens of megabytes of text never sit in memory
-at once.  Decoders raise ValueError, and only ValueError, on a malformed
-document.
+at once.  A triangle encoder reads only `n_max` and iterates `rows` once, so
+it serves a `RunCountTriangle` and the CLI's recurrence table alike, whose
+rows are exact integral `Decimal`s made as they are read; it only calls str()
+on the counts.  Decoders raise ValueError, and only ValueError, on a
+malformed document.
 """
 
 from __future__ import annotations
@@ -153,9 +156,9 @@ def doc_to_triangle(doc: dict) -> RunCountTriangle:
 
 def _triangle_lines(tri: RunCountTriangle, sep: str, end: str = "") -> Iterator[str]:
     """One chunk per row: n and its counts joined by sep, then end; the chunks join to a line per row."""
-    for n in range(2, tri.n_max + 1):
+    for n, row in enumerate(tri.rows, start=2):
         with _any_int_digits():
-            line = sep.join(map(str, (n, *tri.row(n))))
+            line = sep.join(map(str, (n, *row)))
         yield ("" if n == 2 else "\n") + line + end
 
 
@@ -279,7 +282,7 @@ def series_to_latex(ts: TruncatedSeries) -> str:
 # ---------------------------------------------------------------------------
 # Whole documents, one encoder per (kind, format)
 #
-#   triangle             RunCountTriangle
+#   triangle             RunCountTriangle, or cli.DecimalTriangle (n_max and rows)
 #   psi                  list of PsiPolynomial
 #   phi                  RationalGF Phi_s / Delta_s
 #   series               TruncatedSeries
@@ -323,11 +326,11 @@ def _report_json(results) -> dict:
 def _triangle_json(tri: RunCountTriangle, method: str) -> Iterator[str]:
     """The triangle document in the layout of json.dumps(doc, indent=2), a row per chunk."""
     yield f'{{\n  "kind": "triangle",\n  "n_max": {tri.n_max},\n  "rows": ['
-    for n in range(2, tri.n_max + 1):
+    for n, row in enumerate(tri.rows, start=2):
         with _any_int_digits():
-            counts = '",\n        "'.join(map(str, tri.row(n)))
-        row = f'\n    {{\n      "n": {n},\n      "counts": [\n        "{counts}"\n      ]\n    }}'
-        yield row if n == 2 else "," + row
+            counts = '",\n        "'.join(map(str, row))
+        chunk = f'\n    {{\n      "n": {n},\n      "counts": [\n        "{counts}"\n      ]\n    }}'
+        yield chunk if n == 2 else "," + chunk
     yield f'\n  ],\n  "method": {json.dumps(method)}\n}}'
 
 

@@ -6,13 +6,15 @@ Built from the classical recurrence
 
 with base row P(2, s) = 2*delta_{s,1}.  The recurrence is applied only for
 n >= 3 (it would need an undefined P(1, .) at n = 2) and out-of-range values
-(s < 1 or s > n-1) are taken as 0.  Entries are exact Python integers.
+(s < 1 or s > n-1) are taken as 0.  `recurrence_rows` is the one copy of
+the recurrence; it works in any number type that the base entry 2 is given in.
+`build_triangle` runs it on Python integers.
 """
 
 from __future__ import annotations
 
 from math import factorial
-from typing import Callable
+from typing import Callable, Iterator
 
 from .poly import Immutable
 
@@ -70,12 +72,22 @@ class RunCountTriangle(Immutable):
         return all(sum(self.row(n)) == factorial(n) for n in range(2, self.n_max + 1))
 
 
+def recurrence_rows(two, n_max: int) -> Iterator[tuple]:
+    """Yield the rows of P(n, s) for n = 2..n_max, each computed from the last.
+
+    Every entry is built from `two` by sums and by products with small ints, so
+    the rows come in the type of `two`.  The generator holds two rows.
+    """
+    row = (two,)
+    yield row
+    for n in range(3, n_max + 1):
+        prev = (0, 0, *row, 0)  # prev[s + 1] = P(n-1, s), 0 outside 1..n-2
+        row = tuple(
+            s * prev[s + 1] + 2 * prev[s] + (n - s) * prev[s - 1] for s in range(1, n)
+        )
+        yield row
+
+
 def build_triangle(n_max: int) -> RunCountTriangle:
     """Compute P(n, s) for all 2 <= n <= n_max by the run-count recurrence."""
-    rows = [(2,)]
-    for n in range(3, n_max + 1):
-        prev = (0, 0, *rows[-1], 0)  # prev[s + 1] = P(n-1, s), 0 outside 1..n-2
-        rows.append(tuple(
-            s * prev[s + 1] + 2 * prev[s] + (n - s) * prev[s - 1] for s in range(1, n)
-        ))
-    return RunCountTriangle(n_max=n_max, rows=tuple(rows))
+    return RunCountTriangle(n_max=n_max, rows=tuple(recurrence_rows(2, n_max)))

@@ -1,15 +1,18 @@
 import contextlib
+import decimal
+import functools
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import runpoly
@@ -17,7 +20,8 @@ from runpoly import bruteforce, cli, closedform, genfun, verification
 from runpoly.closedform import PsiPolynomial
 from runpoly.genfun import RationalGF
 from runpoly.poly import BivariatePolynomial, Polynomial
-from runpoly.triangle import RunCountTriangle
+from runpoly.triangle import RunCountTriangle, build_triangle
+from test_serialize import reference_text
 
 
 def run_cli(capsys, *argv):
@@ -364,13 +368,17 @@ def test_families_output_matches_benchmark_sha256(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == FAMILIES_SHA256[argv]
 
 
-# The same for the seed-0 `verify` command and the closed-form `tables` command:
-# the verify report pins every check's detail, and the closed table every count.
+# The same for the seed-0 `verify` and `tables` commands: the verify report pins
+# every check's detail, and each table every count.
 VERIFY_AND_TABLES_SHA256 = {
     ("verify", "--n-max", "20", "--s-max", "10", "--i-max", "10", "--k-max", "20", "--format", "json"):
         "7fd54fa0255a18679bd3d252ce599916999fc3e52a4398be0c4f3f2c67f72f30",
     ("table", "--method", "closed", "--n-max", "40", "--format", "json"):
         "1e1371131b2f25a92f3f995a26ecb00dabd955cececdebd3285badbee00b51b9",
+    ("table", "--n-max", "400", "--format", "tsv"):
+        "bfa64f9b8b17f7c17d80f5df33ff6033b44056244e9589316eac88117abb38c0",
+    ("table", "--n-max", "400"):
+        "510d966ed54b637928fcce4ea660b16288772805d8ee636b1f4d479b64bde394",
 }
 
 
@@ -379,6 +387,77 @@ def test_verify_and_tables_output_match_benchmark_sha256(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_AND_TABLES_SHA256[argv]
+
+
+@functools.lru_cache(maxsize=1)
+def int_rows_400() -> tuple[tuple[int, ...], ...]:
+    return build_triangle(400).rows
+
+
+def int_table_text(n_max: int, fmt: str) -> str:
+    """What `table --n-max n_max` prints (n_max <= 400), from str() of build_triangle's ints."""
+    tri = RunCountTriangle(n_max, int_rows_400()[: n_max - 1])
+    return reference_text(tri, fmt, "recurrence") + "\n"
+
+
+def print_table(*argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["table", *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestExactDecimalTable:
+    """`table --method recurrence` prints exact Decimals made a row at a time."""
+
+    @given(n_max=st.integers(2, 400), fmt=st.sampled_from(cli.FORMATS))
+    @example(n_max=400, fmt="latex")
+    @settings(max_examples=15, deadline=None)
+    def test_text_equals_the_int_triangle(self, n_max, fmt):
+        code, out, err = print_table("--n-max", str(n_max), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == int_table_text(n_max, fmt)
+
+    @pytest.mark.parametrize("fmt", cli.FORMATS)
+    def test_ambient_context_is_not_used(self, fmt):
+        # a context that rounds to 5 digits and traps nothing
+        with decimal.localcontext(decimal.Context(prec=5, traps=[])):
+            code, out, err = print_table("--n-max", "60", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == int_table_text(60, fmt)
+
+    def test_a_step_that_would_round_raises(self, monkeypatch):
+        monkeypatch.setattr(cli.EXACT, "prec", 10)  # P(14, s) has 11 digits
+        code, out, err = print_table("--n-max", "30", "--format", "tsv")
+        assert code == 1
+        assert "Inexact" in err or "Rounded" in err
+        # only whole rows of exact counts were printed before the failure
+        lines = out.splitlines()
+        assert 0 < len(lines) < 29
+        assert lines == int_table_text(30, "tsv").splitlines()[: len(lines)]
+
+    def test_memory_stays_at_two_rows(self):
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                pass
+
+        tracemalloc.start()
+        try:
+            tri = build_triangle(300)
+            triangle_size, _ = tracemalloc.get_traced_memory()
+            del tri
+            tracemalloc.reset_peak()
+            baseline, _ = tracemalloc.get_traced_memory()
+            with contextlib.redirect_stdout(Sink()):
+                code = cli.main(["table", "--n-max", "300"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak - baseline < triangle_size / 4
 
 
 def test_closed_pipe_is_not_an_error():
