@@ -47,7 +47,7 @@ class DecimalTriangle(Immutable):
     def __init__(self, n_max: int):
         if n_max < 2:
             raise ValueError(f"n_max must be >= 2, got {n_max}")
-        object.__setattr__(self, "n_max", n_max)
+        super().__init__(n_max)
 
     @property
     def rows(self):
@@ -74,11 +74,7 @@ class OutputDocument(Immutable):
     __slots__ = ("payload", "failed")
 
     def __init__(self, payload: Iterable[str], failed: tuple[str, ...] = ()):
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "failed", failed)  # names of the failed verification checks
-
-    def render(self) -> Iterable[str]:
-        return self.payload
+        super().__init__(payload, failed)  # failed: names of the failed verification checks
 
 
 def _document(kind: str, fmt: str, value, **params) -> OutputDocument:
@@ -174,8 +170,8 @@ def main(argv: list[str] | None = None) -> int:
     del args["command"]
     try:
         doc = args.pop("run")(**args)
-        _write(doc.render())
-    except ValueError as exc:
+        _write(doc.payload)
+    except (ValueError, OverflowError) as exc:  # OverflowError: an argument past sys.maxsize
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -118,11 +118,7 @@ def phi_polys(i_max: int) -> list[BivariatePolynomial]:
 class PsiPolynomial(Immutable):
     """psi_i(n, s) = K(s - i) * part(n, s); only the polynomial part is stored."""
 
-    __slots__ = ("index", "part")
-
-    def __init__(self, index: int, part: BivariatePolynomial):
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "part", part)  # variables (n, s)
+    __slots__ = ("index", "part")  # part has the variables (n, s)
 
     def evaluate(self, n: int, s: int) -> Fraction:
         return K(s - self.index) * self.part.evaluate(n, s)

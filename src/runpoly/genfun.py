@@ -60,15 +60,10 @@ class RationalGF(Immutable):
             raise ValueError("denominator parameters must be distinct")
         if any(e < 1 for _, e in denominator_factors):
             raise ValueError("denominator multiplicities must be >= 1")
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator_factors", denominator_factors)
-
-    @property
-    def var(self) -> str:
-        return self.numerator.var
+        super().__init__(numerator, denominator_factors)
 
     def denominator(self) -> Polynomial:
-        return _expand_factors(self.var, self.denominator_factors)
+        return _expand_factors(self.numerator.var, self.denominator_factors)
 
     def series(self, order: int) -> TruncatedSeries:
         return series_quotient(self.numerator, self.denominator(), order)
@@ -308,12 +303,9 @@ def series_triangle(n_max: int) -> RunCountTriangle:
     Raises ArithmeticError if a coefficient is not an integer, which would
     mean a broken identity.
     """
-    columns = {s: u_s_series(s, n_max) for s in range(1, n_max)}
-
-    def count(n: int, s: int) -> int:
-        value = columns[s].coefficient(n)
-        if value.denominator != 1:
-            raise ArithmeticError(f"series coefficient {value} is not an integer")
-        return value.numerator
-
-    return RunCountTriangle.tabulate(n_max, count)
+    columns = [u_s_series(s, n_max).coeffs for s in range(1, n_max)]  # columns[s - 1][n] = P(n, s)
+    rows = tuple(tuple(c[n] for c in columns[: n - 1]) for n in range(2, n_max + 1))
+    bad = next((value for row in rows for value in row if value.denominator != 1), None)
+    if bad is not None:
+        raise ArithmeticError(f"series coefficient {bad} is not an integer")
+    return RunCountTriangle(n_max, tuple(tuple(value.numerator for value in row) for row in rows))

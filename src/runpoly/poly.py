@@ -58,12 +58,24 @@ def _shift_powers(shift: int, top: int) -> list[list[int]]:
 
 
 class Immutable:
-    """Base of the value types: assigning or deleting an attribute raises AttributeError.
+    """Base of the value types: each field is bound once, at construction, and never again.
 
-    Subclasses declare __slots__ and set them in __init__ with object.__setattr__.
+    __init__ binds the fields named in __slots__ from positional values in slot
+    order or from keywords, and raises TypeError on a missing, repeated or
+    unknown field.  A subclass that checks its fields calls super().__init__
+    after; Polynomial and BivariatePolynomial, built in the inner loops, bind
+    theirs directly in _set.  Assigning or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        fields, bound = self.__slots__, dict(zip(self.__slots__, values))
+        if len(values) > len(fields) or bound.keys() & named or bound.keys() | named != set(fields):
+            got = f"{len(values)} positional values and the keywords {sorted(named)}"
+            raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(fields)}), got {got}")
+        for name, value in (bound | named).items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
@@ -245,13 +257,12 @@ class Polynomial(Immutable):
         return Polynomial._over(self.var, [c * d.den for c in quot], den * self.den)
 
 
-class BivariatePolynomial:
+class BivariatePolynomial(Immutable):
     """Sparse exact polynomial in two tagged variables.
 
     nums maps exponent pairs (e1, e2) to nonzero integer numerators over den,
     in the reduced form above; BivariatePolynomial(("n", "s"), {(1, 0): 2,
-    (0, 1): -1}) is 2n - s.  Treat instances as immutable: every operation
-    returns a new polynomial.
+    (0, 1): -1}) is 2n - s.  Polynomials compare and hash by value.
     """
 
     __slots__ = ("vars", "nums", "den")
@@ -268,7 +279,9 @@ class BivariatePolynomial:
         if g != 1:
             nums = {e: c // g for e, c in nums.items()}
             den //= g
-        self.vars, self.nums, self.den = vars, nums, den
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
         return self
 
     @classmethod
@@ -398,9 +411,7 @@ class TruncatedSeries(Immutable):
         if len(cs) > order + 1:
             cs = cs[: order + 1]
         cs += [Fraction(0)] * (order + 1 - len(cs))
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        super().__init__(var, order, tuple(cs))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):

@@ -14,17 +14,9 @@ from .poly import BivariatePolynomial, Immutable
 
 
 class IdentityReport(Immutable):
-    """Outcome of checking a family of indexed identities."""
+    """Outcome of checking indexed identities; residual is lhs - rhs at the first failing i, or None."""
 
     __slots__ = ("name", "i_max", "failures", "residual")
-
-    def __init__(
-        self, name: str, i_max: int, failures: tuple[int, ...], residual: BivariatePolynomial | None = None
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "i_max", i_max)
-        object.__setattr__(self, "failures", failures)
-        object.__setattr__(self, "residual", residual)  # lhs - rhs at the first failing i
 
     @property
     def ok(self) -> bool:

@@ -20,7 +20,8 @@ at once.  A triangle encoder reads only `n_max` and iterates `rows` once, so
 it serves a `RunCountTriangle` and the CLI's recurrence table alike, whose
 rows are exact integral `Decimal`s made as they are read; it only calls str()
 on the counts.  Decoders raise ValueError, and only ValueError, on a
-malformed document.
+malformed document.  They accept ASCII digits only (int() would take any
+script's digits), and a count is bare digits: no sign, "_" or space.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from .genfun import RationalGF
 from .poly import BivariatePolynomial, Polynomial, TruncatedSeries
 from .triangle import RunCountTriangle
 
-_FRACTION_RE = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
+_FRACTION_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
+_COUNT_RE = re.compile(r"[0-9]+")
 
 
 def fraction_to_text(q: Fraction) -> str:
@@ -143,9 +145,10 @@ def doc_to_triangle(doc: dict) -> RunCountTriangle:
     n_max, rows = _fields(doc, "triangle", n_max=int, rows=list)
     counts = []
     for n, row in enumerate(rows, start=2):
-        cells = row.get("counts") if isinstance(row, dict) and row.get("n") == n else None
-        if not (isinstance(cells, list) and all(isinstance(c, str) for c in cells)):
-            raise ValueError(f"expected row {{'n': {n}, 'counts': [strings]}}, got {row!r:.40}")
+        label = row.get("n") if isinstance(row, dict) else None
+        cells = row.get("counts") if type(label) is int and label == n else None
+        if not (isinstance(cells, list) and all(isinstance(c, str) and _COUNT_RE.fullmatch(c) for c in cells)):
+            raise ValueError(f"expected row {{'n': {n}, 'counts': [digit strings]}}, got {row!r:.40}")
         counts.append(tuple(int(c) for c in cells))
     return RunCountTriangle(n_max=n_max, rows=tuple(counts))
 

@@ -14,7 +14,7 @@ the recurrence; it works in any number type that the base entry 2 is given in.
 from __future__ import annotations
 
 from math import factorial
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .poly import Immutable
 
@@ -35,8 +35,7 @@ class RunCountTriangle(Immutable):
         for n, row in enumerate(rows, start=2):
             if len(row) != n - 1 or not all(type(c) is int and c >= 0 for c in row):
                 raise ValueError(f"row n={n} must hold {n - 1} non-negative integers")
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "rows", rows)
+        super().__init__(n_max, rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RunCountTriangle):
@@ -46,14 +45,6 @@ class RunCountTriangle(Immutable):
     def __repr__(self) -> str:
         # never the counts: str() of a count past 4300 digits raises ValueError
         return f"RunCountTriangle(n_max={self.n_max}, {len(self.rows)} rows)"
-
-    @classmethod
-    def tabulate(cls, n_max: int, count: Callable[[int, int], int]) -> RunCountTriangle:
-        """The triangle with P(n, s) = count(n, s), for methods that give each entry alone."""
-        rows = tuple(
-            tuple(count(n, s) for s in range(1, n)) for n in range(2, n_max + 1)
-        )
-        return cls(n_max=n_max, rows=rows)
 
     def value(self, n: int, s: int) -> int:
         """P(n, s), with 0 for s outside 1..n-1."""

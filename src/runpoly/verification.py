@@ -19,17 +19,9 @@ from .poly import Immutable, Polynomial
 class CheckResult(Immutable):
     __slots__ = ("name", "passed", "detail")
 
-    def __init__(self, name: str, passed: bool, detail: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-
     @property
     def status(self) -> str:
         return "ok" if self.passed else "FAILED"
-
-    def __str__(self) -> str:
-        return f"{self.status:6} {self.name}: {self.detail}"
 
 
 class _CheckFailure(Exception):

@@ -137,6 +137,18 @@ class TestSeries:
         assert code == 2
 
 
+# Past sys.maxsize a length cannot be a machine index, so these fail before any allocation.
+@pytest.mark.parametrize("argv", [
+    ["series", "--s", "3", "--order", str(10**20)],
+    ["table", "--method", "series", "--n-max", str(10**20)],
+])
+def test_argument_past_maxsize_is_usage_error(capsys, argv):
+    assert 10**20 > sys.maxsize
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: cannot fit 'int' into an index-sized integer\n"
+
+
 class TestVerify:
     def test_small_battery_passes(self, capsys):
         code, out, err = run_cli(

@@ -3,13 +3,15 @@
 from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import runpoly
 from runpoly.cli import OutputDocument
-from runpoly.closedform import psi_polys
+from runpoly.closedform import PsiPolynomial, psi_polys
 from runpoly.genfun import u_s_gf
 from runpoly.poly import (
     BivariatePolynomial,
@@ -19,7 +21,7 @@ from runpoly.poly import (
     binom_rational,
     series_quotient,
 )
-from runpoly.recurrences import verify_psi_recurrence
+from runpoly.recurrences import IdentityReport, verify_psi_recurrence
 from runpoly.triangle import build_triangle
 from runpoly.verification import CheckResult
 
@@ -345,6 +347,7 @@ class TestBivariate:
 
 VALUES = {
     "Polynomial": lambda: Polynomial("x", [1, 2]),
+    "BivariatePolynomial": lambda: BivariatePolynomial(("n", "s"), {(1, 0): 2}),
     "TruncatedSeries": lambda: TruncatedSeries("x", 2, [1]),
     "RunCountTriangle": lambda: build_triangle(3),
     "OutputDocument": lambda: OutputDocument(["text"]),
@@ -364,6 +367,36 @@ def test_value_types_are_immutable(make):
     with pytest.raises(AttributeError):
         delattr(value, name)
     assert not hasattr(value, "__dict__")  # slotted
+
+
+# The records whose constructor is Immutable.__init__, with a value for each field.
+RECORDS = {
+    CheckResult: ("row-sums", True, "ok"),
+    PsiPolynomial: (1, BivariatePolynomial(("n", "s"), {(0, 0): 1})),
+    IdentityReport: ("psi", 1, (), None),
+}
+
+
+@pytest.mark.parametrize("cls, values", RECORDS.items(), ids=[c.__name__ for c in RECORDS])
+def test_records_bind_exactly_their_fields(cls, values):
+    named = dict(zip(cls.__slots__, values))
+    for record in (cls(*values), cls(**named), cls(*values[:1], **dict(list(named.items())[1:]))):
+        assert tuple(getattr(record, name) for name in cls.__slots__) == values
+    for name in cls.__slots__:  # a missing field
+        with pytest.raises(TypeError):
+            cls(**{k: v for k, v in named.items() if k != name})
+    with pytest.raises(TypeError):  # an extra positional value
+        cls(*values, None)
+    with pytest.raises(TypeError):  # an unknown field
+        cls(*values, extra=None)
+    with pytest.raises(TypeError):  # a field given twice
+        cls(*values, **{cls.__slots__[0]: values[0]})
+
+
+def test_only_poly_binds_fields_with_object_setattr():
+    package = Path(runpoly.__file__).parent
+    users = sorted(p.name for p in package.glob("*.py") if "object.__setattr__" in p.read_text())
+    assert users == ["poly.py"]
 
 
 class TestTruncatedSeries:

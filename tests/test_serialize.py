@@ -52,7 +52,7 @@ class TestRationalText:
     def test_round_trip(self, q):
         assert text_to_fraction(fraction_to_text(q)) == q
 
-    @pytest.mark.parametrize("bad", ["1.5", "3/0", "1e3", "2/-3", "", "x", "1/2/3"])
+    @pytest.mark.parametrize("bad", ["1.5", "3/0", "1e3", "2/-3", "", "x", "1/2/3", "\u0661", "\u0663/4"])
     def test_rejects_non_rational_text(self, bad):
         with pytest.raises(ValueError):
             text_to_fraction(bad)
@@ -115,6 +115,21 @@ class TestJsonDocs:
     def test_malformed_doc_rejected(self, decode, doc):
         with pytest.raises(ValueError):
             decode(doc)
+
+    # "\u0662" is the Arabic-Indic digit two, which int() reads as 2
+    @pytest.mark.parametrize("count", ["1_0", " 4", "+2", "\u0662", "", "4 "])
+    def test_triangle_count_must_be_ascii_digits(self, count):
+        doc = triangle_doc(build_triangle(3))
+        doc["rows"][1]["counts"][1] = count
+        with pytest.raises(ValueError):
+            doc_to_triangle(doc)
+
+    @pytest.mark.parametrize("label", [2.0, "2", True])
+    def test_triangle_row_label_must_be_an_int(self, label):
+        doc = triangle_doc(build_triangle(3))
+        doc["rows"][0]["n"] = label
+        with pytest.raises(ValueError):
+            doc_to_triangle(doc)
 
 
 # A valid document of each kind, its decoder and its encoder.
