@@ -8,6 +8,10 @@ Everything is assembled from three building blocks:
     b_m(t)   Catalan-like rational sequence, extended to a degree-m polynomial
     p_j(n,t) their convolution sum_{k<=j} a_k(n) * b_{j-k}(t)
 
+The selector g_{i,j} is the x^i coefficient of (1-x)^2 sum_j p_j x^(2j):
+p_{i/2} + p_{i/2-1} for even i and -2 p_{(i-1)/2} for odd i.  selector(i)
+lists its nonzero entries, and phi_i = sum_j g_{i,j} p_j.
+
 The weight psi_i(n, s) factors as K(s-i) * Q_i(n, s) with K(s) = 2^(2-s);
 the non-polynomial prefactor K is kept out of every stored object and only
 reattached at evaluation time, which is also how the polynomials are usually
@@ -96,11 +100,11 @@ def p_poly(j: int) -> BivariatePolynomial:
     ))
 
 
-def g_coefficient(i: int, j: int) -> int:
-    """The selector g_{i,j} in {1, 0, -2} picking p_j terms for index i."""
-    if i % 2 == 0:
-        return int(j == i // 2) + int(j == i // 2 - 1)
-    return -2 * int(j == (i - 1) // 2)
+def selector(i: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero pairs (j, g_{i,j}) of the selector picking p_j terms for index i."""
+    if i % 2:
+        return ((i // 2, -2),)
+    return ((i // 2, 1), (i // 2 - 1, 1)) if i else ((0, 1),)
 
 
 def phi_polys(i_max: int) -> list[BivariatePolynomial]:
@@ -108,9 +112,7 @@ def phi_polys(i_max: int) -> list[BivariatePolynomial]:
     if i_max < 0:
         raise ValueError("i_max must be >= 0")
     return [
-        BivariatePolynomial.sum(NT_VARS, (
-            p_poly(j) * g_coefficient(i, j) for j in range(i // 2 + 1) if g_coefficient(i, j)
-        ))
+        BivariatePolynomial.sum(NT_VARS, (p_poly(j) * g for j, g in selector(i)))
         for i in range(i_max + 1)
     ]
 
@@ -150,16 +152,14 @@ def closed_row(n: int, s_max: int) -> tuple[int, ...]:
     d = lcm(*den.values())
     for t in p:  # bring every p_j over the row's one denominator d
         p[t] = [d // den[t] * c for c in p[t]]
+    pairs = [selector(i) for i in range(s_max)]
     row = []
     for s in range(1, s_max + 1):
-        # g_{i,j} with i = s - t picks p_{i/2} + p_{i/2-1} for even i, -2 p_{(i-1)/2} for odd i
         total = 0
         for t in range(1, s + 1):
-            i, pt = s - t, p[t]
-            if i % 2:
-                total -= 2 * pt[i // 2]
-            else:
-                total += pt[i // 2] + (pt[i // 2 - 1] if i else 0)
+            pt = p[t]
+            for j, g in pairs[s - t]:
+                total += g * pt[j]
         q, r = divmod(total, d)
         if r or q < 0:
             raise NonIntegerResultError(f"P({n},{s}) evaluated to {Fraction(total, d)}")

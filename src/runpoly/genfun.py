@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .closedform import K, b_value, g_coefficient
+from .closedform import K, b_value, selector
 from .poly import Immutable, Polynomial, TruncatedSeries, binom_rational, series_quotient
 from .triangle import RunCountTriangle
 
@@ -156,20 +156,17 @@ def atilde_taylor_coeffs(k: int) -> tuple[Fraction, ...]:
 def phi_tilde_poly(k: int) -> Polynomial:
     """PhiTilde_k(z) = z^2 sum_p atilde_k(p) (1+z)^p, the reduced numerator of A_k.
 
-    Checks on construction: ATilde_k has degree exactly 2k+1; the
-    reconstruction (-1)^k sum_p atilde_k(p) (1+z)^(k+p+1) reproduces it; and
-    PhiTilde_k has degree exactly k+2.
+    The sum over powers of (1+z) is one Taylor shift: the polynomial with
+    coefficients atilde_k(p), taken at 1+z.  Checks on construction: ATilde_k
+    has degree exactly 2k+1; (-1)^k (1+z)^(k+1) times that shifted sum
+    reproduces it; and PhiTilde_k has degree exactly k+2.
     """
     atilde = atilde_poly(k)
     if atilde.degree != 2 * k + 1:
         raise DegreeMismatchError(f"deg ATilde_{k} = {atilde.degree}, expected {2 * k + 1}")
 
-    rebuilt = Polynomial("z")
-    reduced = Polynomial("z")
-    for p, c in enumerate(atilde_taylor_coeffs(k)):
-        rebuilt = rebuilt + _one_plus_z(k + p + 1) * c
-        reduced = reduced + _one_plus_z(p) * c
-    if rebuilt * (-1) ** k != atilde:
+    reduced = Polynomial("z", atilde_taylor_coeffs(k)).shift(1)
+    if reduced * _one_plus_z(k + 1) * (-1) ** k != atilde:
         raise DualPathMismatchError(f"ATilde_{k} reconstruction from taylor coefficients failed")
 
     phi_tilde = Polynomial.monomial("z", 2) * reduced
@@ -210,17 +207,14 @@ def delta_poly(s: int) -> Polynomial:
 def B_poly(i: int, k: int, t: int) -> Polynomial:
     """The partial-fraction numerator B_{i,k}(x, t), a degree-(k+2) polynomial in x.
 
-    B_{i,k}(x,t) = K(t) * PhiTilde_k(t*x) * sum_{j=k}^{floor(i/2)} g_{i,j} b_{j-k}(t).
+    B_{i,k}(x,t) = K(t) * PhiTilde_k(t*x) * sum_{j=k}^{floor(i/2)} g_{i,j} b_{j-k}(t),
+    the sum running over the nonzero entries of closedform.selector(i).
     """
     if not 0 <= k <= i // 2:
         raise ValueError(f"k must be in 0..{i // 2} for i={i}, got {k}")
     if t < 1:
         raise ValueError("t must be >= 1")
-    weight = Fraction(0)
-    for j in range(k, i // 2 + 1):
-        g = g_coefficient(i, j)
-        if g:
-            weight += g * b_value(j - k, t)
+    weight = sum((g * b_value(j - k, t) for j, g in selector(i) if j >= k), Fraction(0))
     return _scaled_phi_tilde(k, t) * (K(t) * weight)
 
 
@@ -288,7 +282,7 @@ def u_s_gf(s: int) -> RationalGF:
     return RationalGF(phi_s_poly(s), delta_factors(s))
 
 
-def u_s_series(s: int, order: int = 32) -> TruncatedSeries:
+def u_s_series(s: int, order: int) -> TruncatedSeries:
     """Series of u_s(x); the x^n coefficient is P(n, s) for 2 <= n <= order."""
     if s < 1:
         raise ValueError("s must be >= 1")

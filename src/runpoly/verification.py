@@ -43,10 +43,10 @@ def run_verification(
     n_max: int = 20, s_max: int = 10, i_max: int = 10, k_max: int = 20
 ) -> list[CheckResult]:
     """Run the full battery; one CheckResult per check, in a fixed order."""
-    if n_max < 2:
-        raise ValueError(f"n_max must be >= 2, got {n_max}")
-    if s_max < 1 or i_max < 1 or k_max < 0:
-        raise ValueError("bounds must be positive")
+    bounds = (("n_max", n_max, 2), ("s_max", s_max, 1), ("i_max", i_max, 1), ("k_max", k_max, 0))
+    for name, value, least in bounds:
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
 
     tri = triangle.build_triangle(n_max)
     results = []

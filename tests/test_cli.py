@@ -166,6 +166,35 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--n-max", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--s-max", "0", "s_max must be >= 1, got 0"),
+        ("--i-max", "0", "i_max must be >= 1, got 0"),
+        ("--k-max", "-1", "k_max must be >= 0, got -1"),
+    ])
+    def test_bad_bound_is_named(self, capsys, flag, value, message):
+        code, out, err = run_cli(capsys, "verify", flag, value)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_sign_flipped_selector_fails_named_checks(self, capsys, monkeypatch):
+        real = closedform.selector
+
+        def flipped(i):
+            return tuple((j, -g) for j, g in real(i)) if i % 2 else real(i)
+
+        for module in (closedform, genfun):
+            monkeypatch.setattr(module, "selector", flipped)
+        genfun.phi_s_poly.cache_clear()
+        try:
+            code, out, _ = run_cli(
+                capsys,
+                "verify", "--n-max", "8", "--s-max", "4", "--i-max", "4", "--k-max", "3",
+            )
+        finally:
+            genfun.phi_s_poly.cache_clear()
+        assert code == 1
+        failed = {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
+        assert {"closed-vs-recurrence", "phi-series-product", "series-vs-recurrence"} <= failed
+
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_corrupted_psi_family_fails_named_check(self, capsys, monkeypatch, fmt):
         real = closedform.psi_polys

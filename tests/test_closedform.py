@@ -16,12 +16,12 @@ from runpoly.closedform import (
     b_value,
     closed_row,
     closed_triangle,
-    g_coefficient,
     p_closed_form,
     p_poly,
     phi_generating_series,
     phi_polys,
     psi_polys,
+    selector,
 )
 from runpoly.poly import BivariatePolynomial, Polynomial, binom_rational
 from runpoly.triangle import build_triangle
@@ -111,20 +111,32 @@ class TestBuildingBlocks:
         assert p_poly(j).evaluate(n, t) == defining_sum(j, n, t)
 
 
+def selector_by_expansion(i):
+    """The x^i coefficients g_{i,j} of (1 - 2x + x^2) x^(2j), collected term by term."""
+    g = {}
+    for j in range(i + 1):
+        for power, c in enumerate((1, -2, 1), start=2 * j):
+            if power == i:
+                g[j] = g.get(j, 0) + c
+    return {j: c for j, c in g.items() if c}
+
+
 class TestSelector:
     def test_even_rows_pick_two_terms(self):
-        assert g_coefficient(0, 0) == 1
-        assert g_coefficient(2, 1) == 1
-        assert g_coefficient(2, 0) == 1
-        assert g_coefficient(4, 2) == 1
-        assert g_coefficient(4, 1) == 1
-        assert g_coefficient(4, 0) == 0
+        assert selector(0) == ((0, 1),)
+        assert selector(2) == ((1, 1), (0, 1))
+        assert selector(4) == ((2, 1), (1, 1))
 
     def test_odd_rows_pick_one_term(self):
-        assert g_coefficient(1, 0) == -2
-        assert g_coefficient(3, 1) == -2
-        assert g_coefficient(3, 0) == 0
-        assert g_coefficient(5, 2) == -2
+        assert selector(1) == ((0, -2),)
+        assert selector(3) == ((1, -2),)
+        assert selector(5) == ((2, -2),)
+
+    def test_matches_expansion_of_one_minus_x_squared(self):
+        for i in range(41):
+            pairs = selector(i)
+            assert len({j for j, _ in pairs}) == len(pairs), f"i={i}"
+            assert dict(pairs) == selector_by_expansion(i), f"i={i}"
 
 
 class TestPhiParts:

@@ -74,6 +74,28 @@ class TestAtilde:
         assert phi_tilde_poly(0) == Polynomial("z", [0, 0, 1])
         assert phi_tilde_poly(1) == Polynomial("z", [0, 0, Fraction(1, 2), -1])
 
+    def test_phi_tilde_is_reduced_atilde(self):
+        one_plus_z = Polynomial("z", [1, 1])
+        for k in range(31):
+            reduced = atilde_poly(k).div_exact(one_plus_z ** (k + 1))
+            assert phi_tilde_poly(k) == Polynomial.monomial("z", 2) * reduced * (-1) ** k, f"k={k}"
+
+    def test_bad_taylor_coefficient_fails_reconstruction(self, monkeypatch):
+        real = genfun.atilde_taylor_coeffs
+
+        def bumped(k):
+            coeffs = real(k)
+            return (coeffs[0] + 1,) + coeffs[1:]
+
+        monkeypatch.setattr(genfun, "atilde_taylor_coeffs", bumped)
+        phi_tilde_poly.cache_clear()
+        try:
+            with pytest.raises(DualPathMismatchError) as info:
+                phi_tilde_poly(3)
+        finally:
+            phi_tilde_poly.cache_clear()
+        assert str(info.value) == "ATilde_3 reconstruction from taylor coefficients failed"
+
 
 class TestAkSeries:
     def test_a0_series_is_all_ones(self):
