@@ -15,7 +15,8 @@ degree k+2.  The atilde coefficients are computed by two independent routes
 u_s is assembled from partial-fraction blocks B_{i,k}(x, s-i)/(1-(s-i)x)^(k+1)
 and cleared over the common denominator Delta_s to yield Phi_s, a polynomial
 of degree exactly 1 + ceil(s(s+2)/4); check_partial_fractions clears the
-blocks a second, independent way.
+blocks a second, independent way.  RationalGF.denominator() expands Delta_s
+once per process, and u_s_gf(s).series(order) is the one series of u_s.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ class DualPathMismatchError(ArithmeticError):
     """Two independent computations of the same quantity disagree."""
 
 
-def _expand_factors(var: str, factors) -> Polynomial:
-    """prod (1 - c*var)^e over the (c, e) pairs, expanded."""
+@lru_cache(maxsize=None)
+def _expand_factors(var: str, factors: tuple[tuple[Fraction, int], ...]) -> Polynomial:
+    """prod (1 - c*var)^e over the (c, e) pairs, expanded once per distinct product."""
     prod = Polynomial.constant(var, 1)
     for c, e in factors:
         prod = prod * Polynomial(var, [1, -c]) ** e
@@ -48,19 +50,20 @@ def _expand_factors(var: str, factors) -> Polynomial:
 class RationalGF(Immutable):
     """A rational generating function numerator / prod (1 - c*x)^e.
 
-    The denominator is kept factored as (parameter c, multiplicity e) pairs
-    with distinct parameters.
+    The denominator is kept factored as a tuple of (parameter c, multiplicity e)
+    pairs with distinct parameters; denominator() expands each distinct one once.
     """
 
     __slots__ = ("numerator", "denominator_factors")
 
     def __init__(self, numerator: Polynomial, denominator_factors: tuple[tuple[Fraction, int], ...]):
-        params = [c for c, _ in denominator_factors]
+        factors = tuple((c, e) for c, e in denominator_factors)
+        params = [c for c, _ in factors]
         if len(set(params)) != len(params):
             raise ValueError("denominator parameters must be distinct")
-        if any(e < 1 for _, e in denominator_factors):
+        if any(e < 1 for _, e in factors):
             raise ValueError("denominator multiplicities must be >= 1")
-        super().__init__(numerator, denominator_factors)
+        super().__init__(numerator, factors)
 
     def denominator(self) -> Polynomial:
         return _expand_factors(self.numerator.var, self.denominator_factors)
@@ -198,12 +201,6 @@ def delta_degree(s: int) -> int:
     return -(-s * (s + 2) // 4)  # ceil(s(s+2)/4)
 
 
-@lru_cache(maxsize=None)
-def delta_poly(s: int) -> Polynomial:
-    """Delta_s(x) expanded; constant term 1, degree ceil(s(s+2)/4)."""
-    return _expand_factors("x", delta_factors(s))
-
-
 def B_poly(i: int, k: int, t: int) -> Polynomial:
     """The partial-fraction numerator B_{i,k}(x, t), a degree-(k+2) polynomial in x.
 
@@ -263,7 +260,7 @@ def check_partial_fractions(s: int) -> None:
     route independent of the running sum inside phi_s_poly.  Raises
     DualPathMismatchError naming the lowest coefficient that differs.
     """
-    delta = delta_poly(s)
+    delta = u_s_gf(s).denominator()
     total = Polynomial("x")
     for i in range(s):
         t = s - i
@@ -288,18 +285,18 @@ def u_s_series(s: int, order: int) -> TruncatedSeries:
         raise ValueError("s must be >= 1")
     if order < 2:
         raise ValueError("order must be >= 2")
-    return series_quotient(phi_s_poly(s), delta_poly(s), order)
+    return u_s_gf(s).series(order)
 
 
 def series_triangle(n_max: int) -> RunCountTriangle:
     """The P(n, s) triangle read off the u_s series, one column per s.
 
-    Raises ArithmeticError if a coefficient is not an integer, which would
-    mean a broken identity.
+    Raises ArithmeticError, naming the first non-integer coefficient, if a
+    column's series is not over den 1, which would mean a broken identity.
     """
-    columns = [u_s_series(s, n_max).coeffs for s in range(1, n_max)]  # columns[s - 1][n] = P(n, s)
-    rows = tuple(tuple(c[n] for c in columns[: n - 1]) for n in range(2, n_max + 1))
-    bad = next((value for row in rows for value in row if value.denominator != 1), None)
+    columns = [u_s_series(s, n_max) for s in range(1, n_max)]  # columns[s - 1].nums[n] = P(n, s)
+    bad = next((c for col in columns if col.den != 1 for c in col.coeffs if c.denominator != 1), None)
     if bad is not None:
         raise ArithmeticError(f"series coefficient {bad} is not an integer")
-    return RunCountTriangle(n_max, tuple(tuple(value.numerator for value in row) for row in rows))
+    rows = tuple(tuple(c.nums[n] for c in columns[: n - 1]) for n in range(2, n_max + 1))
+    return RunCountTriangle(n_max, rows)

@@ -8,8 +8,8 @@ degree -1.  Operations work on these integers; `coeffs`, `coefficient` and
 
   Polynomial           dense, one variable: nums[j] / den is the coefficient of var**j
   BivariatePolynomial  sparse, two variables: {(e1, e2): numerator} over den
-  TruncatedSeries      dense, one variable, fixed truncation order, Fraction
-                       coefficients; a value with no arithmetic, made by series_quotient
+  TruncatedSeries      dense, one variable, fixed truncation order: nums[j] / den
+                       for j <= order; a value with no arithmetic, made by series_quotient
 
 Every polynomial carries a variable tag ("x", "z", "n", "t", ...) which is
 checked whenever two polynomials are combined; mixing tags raises ValueError.
@@ -398,25 +398,32 @@ class BivariatePolynomial(Immutable):
 class TruncatedSeries(Immutable):
     """Power series known exactly up to and including order `order`.
 
-    coeffs holds exactly order + 1 coefficients: shorter input is padded with
-    zeros, longer input is truncated.
+    nums holds exactly order + 1 integer numerators over den > 0, gcd(den, *nums) == 1
+    (shorter input is padded with zeros, longer input truncated); coeffs and
+    coefficient() are exact Fraction views.
     """
 
-    __slots__ = ("var", "order", "coeffs")
+    __slots__ = ("var", "order", "nums", "den")
 
     def __init__(self, var: str, order: int, coeffs: Iterable = ()):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        cs = [Fraction(*_ratio(c)) for c in coeffs]
-        if len(cs) > order + 1:
-            cs = cs[: order + 1]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        super().__init__(var, order, tuple(cs))
+        self._set(var, order, *_over_lcm(coeffs))
+
+    def _set(self, var: str, order: int, nums: list[int], den: int) -> TruncatedSeries:
+        nums = nums[: order + 1] + [0] * (order + 1 - len(nums))
+        g = gcd(den, *nums)
+        super().__init__(var, order, tuple(c // g for c in nums), den // g)
+        return self
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (self.var, self.order, self.coeffs) == (other.var, other.order, other.coeffs)
+        return (self.var, self.order, self.den, self.nums) == (other.var, other.order, other.den, other.nums)
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.var!r}, {self.order}, {list(self.coeffs)})"
@@ -426,7 +433,7 @@ class TruncatedSeries(Immutable):
             raise IndexError(f"coefficient {j} beyond truncation order {self.order}")
         if j < 0:
             return Fraction(0)
-        return self.coeffs[j]
+        return Fraction(self.nums[j], self.den)
 
 
 def series_quotient(num: Polynomial, den: Polynomial, order: int) -> TruncatedSeries:
@@ -434,7 +441,7 @@ def series_quotient(num: Polynomial, den: Polynomial, order: int) -> TruncatedSe
 
     den must have integer coefficients and constant term 1, else ValueError.
     Then e_m = num.den * c_m satisfies, in integers,
-    e_m = num_m - sum_{k=1..m} den_k e_{m-k}.
+    e_m = num_m - sum_{k=1..m} den_k e_{m-k}, and the series is e over num.den.
     """
     num._check_var(den)
     if den.den != 1 or den.nums[:1] != (1,):
@@ -444,7 +451,7 @@ def series_quotient(num: Polynomial, den: Polynomial, order: int) -> TruncatedSe
     for m in range(1, order + 1):
         k = min(m, len(rev))
         e[m] -= sum(map(mul, rev[len(rev) - k :], e[m - k : m]))
-    return TruncatedSeries(den.var, order, [Fraction(c, num.den) for c in e])
+    return object.__new__(TruncatedSeries)._set(den.var, order, e, num.den)
 
 
 def binom_rational(top, k: int) -> Fraction:

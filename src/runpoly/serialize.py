@@ -10,7 +10,8 @@ never hold it across a yield.
 
 The LaTeX emitters mirror the usual tabulated presentation: psi rows keep the
 K(s-i) prefactor symbolic and pull the coefficients over a common
-denominator; Phi rows factor out the content and the leading power of x.
+denominator; Phi rows factor the content and the leading power of x out of
+the integer numerators, and a Phi over a denominator ends in /den.
 
 ENCODERS at the bottom holds the one encoder for each (document kind,
 format) pair the CLI prints; `encode` looks them up.  Every encoder returns
@@ -215,15 +216,6 @@ def _join_signed(parts: list[tuple[Fraction | int, str]]) -> str:
     return "".join(pieces) if pieces else "0"
 
 
-def polynomial_to_latex(p: Polynomial) -> str:
-    parts = [
-        (p.coefficient(j), _power_text(p.var, j))
-        for j in range(p.degree, -1, -1)
-        if p.coefficient(j)
-    ]
-    return _join_signed(parts)
-
-
 def _prefactor(i: int) -> str:
     return "K(s)" if i == 0 else f"K(s-{i})"
 
@@ -244,24 +236,22 @@ def psi_row_latex(psi: PsiPolynomial) -> str:
 
 
 def phi_row_latex(p: Polynomial) -> str:
-    """One table row: content and leading x power factored out of Phi_s."""
+    """One table row: content and leading x power factored out of Phi_s's numerators, over den."""
     if p.is_zero:
         return "0"
-    if p.den != 1:
-        return polynomial_to_latex(p)
     power = next(j for j, c in enumerate(p.nums) if c)
     inner = p.nums[power:]
     content = gcd(*inner)
     inner = [c // content for c in inner]
     head = f"{content}{_power_text(p.var, power)}"
-    if inner == [1]:
-        return head
-    parts = [
-        (c, _power_text(p.var, j))
-        for j, c in sorted(enumerate(inner), reverse=True)
-        if c
-    ]
-    return f"{head}({_join_signed(parts)})"
+    if inner != [1]:
+        parts = [
+            (c, _power_text(p.var, j))
+            for j, c in sorted(enumerate(inner), reverse=True)
+            if c
+        ]
+        head = f"{head}({_join_signed(parts)})"
+    return head if p.den == 1 else f"{head}/{p.den}"
 
 
 def delta_latex(factors: tuple[tuple[Fraction, int], ...], var: str = "x") -> str:

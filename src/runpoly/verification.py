@@ -165,7 +165,7 @@ def run_verification(
             if psi.part.degree_in(0) != i // 2:
                 raise _CheckFailure(f"deg_n Q_{i} = {psi.part.degree_in(0)} != {i // 2}")
         for s in range(1, s_max + 1):
-            if genfun.delta_poly(s).degree != genfun.delta_degree(s):
+            if genfun.u_s_gf(s).denominator().degree != genfun.delta_degree(s):
                 raise _CheckFailure(f"deg Delta_{s} wrong")
             if genfun.phi_s_poly(s).degree != genfun.phi_degree(s):
                 raise _CheckFailure(f"deg Phi_{s} wrong")

@@ -23,10 +23,10 @@ from runpoly.genfun import (
     atilde_poly,
     atilde_taylor_coeffs,
     delta_degree,
-    delta_poly,
     phi_degree,
     phi_s_poly,
     phi_tilde_poly,
+    u_s_gf,
     u_s_series,
     verify_wz_sum,
 )
@@ -131,7 +131,7 @@ def test_criterion_6_degree_claims():
         if psi.part.degree_in(0) != i // 2:
             failures.append(f"deg_n Q_{i}")
     for s in range(1, 13):
-        if delta_poly(s).degree != delta_degree(s):
+        if u_s_gf(s).denominator().degree != delta_degree(s):
             failures.append(f"deg Delta_{s}")
         if phi_s_poly(s).degree != phi_degree(s):
             failures.append(f"deg Phi_{s}")

@@ -238,6 +238,13 @@ class TestVerify:
         failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
         assert "series-vs-recurrence" in failed or "partial-fractions" in failed
 
+    def test_non_integer_series_table_is_a_verification_failure(self, capsys, monkeypatch):
+        real = genfun.phi_s_poly
+        monkeypatch.setattr(genfun, "phi_s_poly", lambda s: real(s) * Fraction(1, 3) if s == 1 else real(s))
+        code, out, err = run_cli(capsys, "table", "--method", "series", "--n-max", "4")
+        assert (code, out) == (1, "")
+        assert err.startswith("verification failure:")
+
     def test_brute_mismatch_names_first_entry(self, monkeypatch):
         real = bruteforce.brute_triangle
 

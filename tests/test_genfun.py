@@ -19,10 +19,10 @@ from runpoly.genfun import (
     check_partial_fractions,
     delta_degree,
     delta_factors,
-    delta_poly,
     phi_degree,
     phi_s_poly,
     phi_tilde_poly,
+    series_triangle,
     u_s_gf,
     u_s_series,
     verify_wz_sum,
@@ -110,8 +110,8 @@ class TestAkSeries:
 
 class TestDelta:
     def test_small_products(self):
-        assert delta_poly(1) == Polynomial("x", [1, -1])
-        assert delta_poly(2) == Polynomial("x", [1, -3, 2])
+        assert u_s_gf(1).denominator() == Polynomial("x", [1, -1])
+        assert u_s_gf(2).denominator() == Polynomial("x", [1, -3, 2])
 
     def test_factors_carry_multiplicities(self):
         assert delta_factors(4) == (
@@ -123,8 +123,9 @@ class TestDelta:
 
     def test_degree_formula(self):
         for s in range(1, 13):
-            assert delta_poly(s).degree == delta_degree(s) == -(-s * (s + 2) // 4)
-            assert delta_poly(s).coefficient(0) == 1
+            delta = u_s_gf(s).denominator()
+            assert delta.degree == delta_degree(s) == -(-s * (s + 2) // 4)
+            assert delta.coefficient(0) == 1
 
     def test_rejects_nonpositive_s(self):
         with pytest.raises(ValueError):
@@ -161,7 +162,7 @@ class TestPhiS:
         # Phi_s = Delta_s * u_s, so [x^j] Phi_s = sum_m Delta_s[m] P(j-m, s)
         triangle = build_triangle(phi_degree(20))
         for s in range(1, 21):
-            delta = delta_poly(s)
+            delta = u_s_gf(s).denominator()
             expected = Polynomial(
                 "x",
                 [
@@ -213,11 +214,27 @@ class TestUsSeries:
         with pytest.raises(ValueError):
             u_s_series(3, 1)
 
+    def test_series_triangle_names_a_non_integer_coefficient(self, monkeypatch):
+        # every P(n, s) is even, so halving Phi_1 would stay integral; a third does not
+        real = genfun.phi_s_poly
+        monkeypatch.setattr(genfun, "phi_s_poly", lambda s: real(s) * Fraction(1, 3) if s == 1 else real(s))
+        with pytest.raises(ArithmeticError, match="^series coefficient 2/3 is not an integer$"):
+            series_triangle(4)
+
 
 class TestRationalGF:
     def test_denominator_expansion(self):
-        gf = u_s_gf(2)
-        assert gf.denominator() == delta_poly(2)
+        for s in range(1, 13):
+            want = Polynomial("x", [1])
+            for i in range(s):
+                want = want * Polynomial("x", [1, -(s - i)]) ** (i // 2 + 1)
+            assert u_s_gf(s).denominator() == want, f"s={s}"
+
+    def test_factors_given_as_lists_expand_like_tuples(self):
+        # the expansion is cached by its factors, so they must be bound hashable
+        gf = RationalGF(phi_s_poly(2), [[Fraction(2), 1], [Fraction(1), 1]])
+        assert gf.denominator_factors == ((2, 1), (1, 1))
+        assert gf.denominator() == u_s_gf(2).denominator()
 
     def test_partial_fractions_clear_to_numerator(self):
         for s in range(1, 7):

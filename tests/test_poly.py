@@ -444,6 +444,22 @@ class TestTruncatedSeries:
         d = Polynomial("x", [1, *tail])  # integer coefficients, constant term 1
         assert series_quotient(q * d, d, 8) == TruncatedSeries("x", 8, q.coeffs)
 
+    @given(st.lists(coefficients, max_size=12), st.integers(0, 10))
+    @settings(max_examples=100)
+    def test_normal_form(self, cs, order):
+        ts = TruncatedSeries("x", order, cs)
+        assert ts.coeffs == tuple(cs[: order + 1]) + (0,) * (order + 1 - len(cs))
+        assert len(ts.nums) == order + 1
+        assert ts.den > 0 and gcd(ts.den, *ts.nums) == 1
+        # series_quotient truncates integers over the polynomial's den, then reduces
+        assert series_quotient(Polynomial("x", cs), Polynomial("x", [1]), order) == ts
+
+    def test_common_scale_compares_equal(self):
+        half = TruncatedSeries("x", 1, [Fraction(1, 2), 1])
+        assert half == TruncatedSeries("x", 1, [Fraction(2, 4), Fraction(2, 2)])
+        assert (half.nums, half.den) == ((1, 2), 2)
+        assert half != TruncatedSeries("x", 2, [Fraction(1, 2), 1])
+
 
 class TestBinomials:
     def test_empty_product(self):

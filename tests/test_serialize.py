@@ -22,7 +22,6 @@ from runpoly.serialize import (
     fraction_to_text,
     phi_row_latex,
     polynomial_to_doc,
-    polynomial_to_latex,
     polynomial_to_tsv,
     psi_row_latex,
     series_to_doc,
@@ -209,10 +208,12 @@ class TestLatex:
         assert delta_latex(delta_factors(4)) == "(1-4x)(1-3x)(1-2x)^2(1-x)^2"
         assert delta_latex(delta_factors(1)) == "(1-x)"
 
-    def test_generic_polynomial(self):
-        assert polynomial_to_latex(Polynomial("x", [1, 0, -1])) == "-x^2+1"
-        assert polynomial_to_latex(Polynomial("z", [])) == "0"
-        assert polynomial_to_latex(Polynomial("z", [Fraction(3, 2)])) == "3/2"
+    def test_phi_rows_of_other_polynomials(self):
+        assert phi_row_latex(Polynomial("x", [1, 0, -1])) == "1(-x^2+1)"
+        assert phi_row_latex(Polynomial("z", [])) == "0"
+        assert phi_row_latex(Polynomial("z", [Fraction(3, 2)])) == "3/2"
+        assert phi_row_latex(Polynomial("x", [0, Fraction(1, 2), 1])) == "1x(2x+1)/2"
+        assert phi_row_latex(Polynomial("x", [0, 0, Fraction(4, 3), Fraction(-2, 3)])) == "2x^2(-x+2)/3"
 
     def test_series_with_order_marker(self):
         text = series_to_latex(u_s_series(1, 4))
