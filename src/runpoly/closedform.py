@@ -19,6 +19,12 @@ displayed.  Q_i has degree exactly floor(i/2) in n.
 
 Counts are evaluated a row at a time (closed_row): a_k(n), b_m(t), p_j(n, t)
 and K(t) t^n do not depend on s, so each is formed once per row.
+
+closed_row and phi_generating_series share one integer convolution,
+_p_numerators: the a_k(n) (from _a_numerators) and the b_m(t) are brought
+over one denominator each, and p_j(n, t) is summed as integer numerators
+over their product.  It reads a_value and b_value only, never phi_polys or
+the recurrence, so the checks built on it stay independent of both.
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ def a_poly(k: int) -> Polynomial:
 
 
 def a_value(k: int, n: int) -> Fraction:
-    return binom_rational(Fraction(n - 3, 2), k) * (-1) ** k
+    """a_k(n) = (-1)^k binom((n-3)/2, k) = binom((2k+1-n)/2, k) by upper negation, exact."""
+    return binom_rational(Fraction(2 * k + 1 - n, 2), k)
 
 
 @lru_cache(maxsize=None)
@@ -134,6 +141,23 @@ def psi_polys(i_max: int) -> list[PsiPolynomial]:
     ]
 
 
+def _a_numerators(n: int, k_max: int) -> tuple[list[int], int]:
+    """a_k(n) for k <= k_max, as integer numerators over their least common denominator."""
+    return _over_lcm([a_value(k, n) for k in range(k_max + 1)])
+
+
+def _p_numerators(a_row: tuple[list[int], int], t: int, j_max: int) -> tuple[list[int], int]:
+    """p_j(n, t) = sum_{k<=j} a_k(n) b_{j-k}(t) for j <= j_max, as integer numerators over one denominator.
+
+    a_row is _a_numerators(n, k_max) for some k_max >= j_max.  This is the
+    a_k(n) * b_m(t) convolution that closed_row and phi_generating_series
+    share; it reads a_value and b_value only.
+    """
+    a, da = a_row
+    b, db = _over_lcm([b_value(m, t) for m in range(j_max + 1)])
+    return [sum(a[k] * b[j - k] for k in range(j + 1)) for j in range(j_max + 1)], da * db
+
+
 def closed_row(n: int, s_max: int) -> tuple[int, ...]:
     """P(n, 1..s_max) by the explicit formula, each shared term formed once.
 
@@ -142,13 +166,13 @@ def closed_row(n: int, s_max: int) -> tuple[int, ...]:
     """
     if not 1 <= s_max <= n - 1:
         raise ValueError(f"need 1 <= s_max <= n-1, got n={n}, s_max={s_max}")
-    a, da = _over_lcm([a_value(k, n) for k in range((s_max - 1) // 2 + 1)])
+    a = _a_numerators(n, (s_max - 1) // 2)
     p, den = {}, {}  # numerators of K(t) t^n p_j(n, t), and their denominator
     for t in range(1, s_max + 1):
-        b, db = _over_lcm([b_value(m, t) for m in range((s_max - t) // 2 + 1)])
+        pt, dt = _p_numerators(a, t, (s_max - t) // 2)
         w = K(t) * t**n
-        p[t] = [w.numerator * sum(a[k] * b[j - k] for k in range(j + 1)) for j in range(len(b))]
-        den[t] = w.denominator * da * db
+        p[t] = [w.numerator * c for c in pt]
+        den[t] = w.denominator * dt
     d = lcm(*den.values())
     for t in p:  # bring every p_j over the row's one denominator d
         p[t] = [d // den[t] * c for c in p[t]]
@@ -190,15 +214,15 @@ def phi_generating_series(n: int, t: int, order: int) -> TruncatedSeries:
     """The series sum_i phi_i(n, t) x^i, assembled from its closed form.
 
     Equals K(t) * (1-x)^2 * [sum_k a_k(n) x^(2k)] * [sum_m b_m(t) x^(2m)],
-    multiplied out as polynomials and truncated at x^order; the x^i
-    coefficient must reproduce K(t) * part(phi_i)(n, t).
+    multiplied out in integers over one denominator and truncated at x^order;
+    the x^i coefficient must reproduce K(t) * part(phi_i)(n, t).
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    a_coeffs = [Fraction(0)] * (order + 1)
-    b_coeffs = [Fraction(0)] * (order + 1)
-    for k in range(order // 2 + 1):
-        a_coeffs[2 * k] = a_value(k, n)
-        b_coeffs[2 * k] = b_value(k, t)
-    product = Polynomial("x", a_coeffs) * Polynomial("x", b_coeffs) * Polynomial("x", [1, -1]) ** 2
-    return TruncatedSeries("x", order, (product * K(t)).coeffs)
+    p, dp = _p_numerators(_a_numerators(n, order // 2), t, order // 2)
+    even = [0] * (order + 1)  # sum_j p_j x^(2j)
+    even[::2] = p
+    w = K(t)
+    # times (1-x)^2 = 1 - 2x + x^2, expanded here rather than read from selector
+    nums = [w.numerator * (c - 2 * c1 + c2) for c, c1, c2 in zip(even, [0] + even, [0, 0] + even)]
+    return TruncatedSeries._over("x", order, nums, dp * w.denominator)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 from .closedform import K, b_value, selector
 from .poly import Immutable, Polynomial, TruncatedSeries, binom_rational, series_quotient
@@ -76,6 +76,11 @@ class RationalGF(Immutable):
 # The auxiliary family A_k(z)
 
 
+def _odd_lcm(k: int) -> int:
+    """lcm(1, 3, ..., 2k+1), a common denominator of every 1/(2m+1) with m <= k."""
+    return lcm(*range(1, 2 * k + 2, 2))
+
+
 @lru_cache(maxsize=None)
 def atilde_poly(k: int) -> Polynomial:
     """The degree-(2k+1) auxiliary polynomial carrying a (1+z)^(k+1) factor.
@@ -84,57 +89,66 @@ def atilde_poly(k: int) -> Polynomial:
                 + binom(-3/2, k) * sum_{m=0}^{k} binom(k,m) (-1)^(k+m)/(2m+1) z^(2k-2m)
 
     Dividing out (1+z)^(k+1) and multiplying by (-1)^k z^2 yields PhiTilde_k,
-    the reduced numerator of A_k(z) = PhiTilde_k(z)/(1-z)^(k+1).
+    the reduced numerator of A_k(z) = PhiTilde_k(z)/(1-z)^(k+1).  The sum is
+    taken as integer numerators over q * lcm(1, 3, ..., 2k+1), where
+    binom(-3/2, k) = p/q.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    coeffs = [Fraction(0)] * (2 * k + 2)
-    coeffs[2 * k + 1] = Fraction(1)
     front = binom_rational(Fraction(-3, 2), k)
+    odd = _odd_lcm(k)
+    den = front.denominator * odd
+    nums = [0] * (2 * k + 2)
+    nums[2 * k + 1] = den
     for m in range(k + 1):
-        coeffs[2 * k - 2 * m] += front * comb(k, m) * Fraction((-1) ** (k + m), 2 * m + 1)
-    return Polynomial("z", coeffs)
+        nums[2 * k - 2 * m] = front.numerator * comb(k, m) * (-1) ** (k + m) * (odd // (2 * m + 1))
+    return Polynomial._over("z", nums, den)
 
 
 def verify_wz_sum(k: int) -> bool:
     """Exactly sum the certified identity and compare with 4^k.
 
     sum_m binom(k,m) binom(2k-2m, k-2m) (-1)^m (k+1)/(2m+1) = 4^k, the
-    summand vanishing for m > floor(k/2).
+    summand vanishing for m > floor(k/2); summed as integer numerators over
+    lcm(1, 3, ..., 2k+1).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    total = Fraction(0)
-    for m in range(k // 2 + 1):
-        total += comb(k, m) * comb(2 * k - 2 * m, k - 2 * m) * Fraction(
-            (-1) ** m * (k + 1), 2 * m + 1
-        )
-    return total == 4**k
+    odd = _odd_lcm(k)
+    total = sum(
+        comb(k, m) * comb(2 * k - 2 * m, k - 2 * m) * (-1) ** m * (k + 1) * (odd // (2 * m + 1))
+        for m in range(k // 2 + 1)
+    )
+    return total == 4**k * odd
 
 
 def _one_plus_z(e: int) -> Polynomial:
     return Polynomial("z", [1, 1]) ** e
 
 
-def _atilde_coeffs_formula(k: int) -> list[Fraction]:
-    """atilde_k(p) from the closed formula, for p = 0..k."""
+def _atilde_coeffs_formula(k: int) -> Polynomial:
+    """sum_p atilde_k(p) z^p for p = 0..k from the closed formula.
+
+    Summed as integer numerators over q * lcm(1, 3, ..., 2k+1), where
+    binom(-3/2, k) = p/q.
+    """
     front = binom_rational(Fraction(-3, 2), k)
-    out = []
+    odd = _odd_lcm(k)
+    den = front.denominator * odd
+    nums = []
     for p in range(k + 1):
-        correction = Fraction(0)
-        for m in range((k - p - 1) // 2 + 1):
-            correction += comb(k, m) * comb(2 * k - 2 * m, k + p + 1) * Fraction(
-                (-1) ** (k + m), 2 * m + 1
-            )
-        out.append((-1) ** p * (comb(2 * k + 1, k + p + 1) - front * correction))
-    return out
+        correction = sum(
+            comb(k, m) * comb(2 * k - 2 * m, k + p + 1) * (-1) ** (k + m) * (odd // (2 * m + 1))
+            for m in range((k - p - 1) // 2 + 1)
+        )
+        nums.append((-1) ** p * (comb(2 * k + 1, k + p + 1) * den - front.numerator * correction))
+    return Polynomial._over("z", nums, den)
 
 
-def _atilde_coeffs_division(k: int) -> list[Fraction]:
-    """atilde_k(p) by dividing out (1+z)^(k+1) and Taylor-shifting to z = -1."""
+def _atilde_coeffs_division(k: int) -> Polynomial:
+    """sum_p atilde_k(p) z^p by dividing out (1+z)^(k+1) and Taylor-shifting to z = -1."""
     quotient = atilde_poly(k).div_exact(_one_plus_z(k + 1))
-    shifted = quotient.shift(-1)  # coefficients in powers of (1+z)
-    return [(-1) ** k * shifted.coefficient(p) for p in range(k + 1)]
+    return quotient.shift(-1) * (-1) ** k  # coefficients in powers of (1+z)
 
 
 @lru_cache(maxsize=None)
@@ -149,10 +163,11 @@ def atilde_taylor_coeffs(k: int) -> tuple[Fraction, ...]:
     formula = _atilde_coeffs_formula(k)
     division = _atilde_coeffs_division(k)
     if formula != division:
+        paths = [[route.coefficient(j) for j in range(k + 1)] for route in (formula, division)]
         raise DualPathMismatchError(
-            f"atilde coefficient paths disagree at k={k}: {formula} vs {division}"
+            f"atilde coefficient paths disagree at k={k}: {paths[0]} vs {paths[1]}"
         )
-    return tuple(formula)
+    return tuple(formula.coefficient(j) for j in range(k + 1))
 
 
 @lru_cache(maxsize=None)
@@ -267,6 +282,8 @@ def check_partial_fractions(s: int) -> None:
         for k in range(i // 2 + 1):
             total = total + B_poly(i, k, t) * delta.div_exact(Polynomial("x", [1, -t]) ** (k + 1))
     want = phi_s_poly(s)
+    if total == want:
+        return
     for j in range(max(total.degree, want.degree) + 1):
         if total.coefficient(j) != want.coefficient(j):
             raise DualPathMismatchError(

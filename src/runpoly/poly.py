@@ -18,6 +18,8 @@ Only the substitutions the families need are offered: integer argument
 shifts (shift, substitute_linear) and integer argument scaling
 (scale_argument).  series_quotient divides by a denominator with integer
 coefficients and constant term 1, as Delta_s and (1-z)^(k+1) are.
+binom_rational takes its falling product on the integer numerator and
+denominator of the top argument and makes one Fraction, at the end.
 
 All values are immutable after construction and all operations are pure.
 """
@@ -416,6 +418,11 @@ class TruncatedSeries(Immutable):
         super().__init__(var, order, tuple(c // g for c in nums), den // g)
         return self
 
+    @classmethod
+    def _over(cls, var: str, order: int, nums: list[int], den: int) -> TruncatedSeries:
+        """The series with coefficients nums[j] / den for j <= order, reduced; den > 0."""
+        return object.__new__(cls)._set(var, order, nums, den)
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.nums)
@@ -451,15 +458,19 @@ def series_quotient(num: Polynomial, den: Polynomial, order: int) -> TruncatedSe
     for m in range(1, order + 1):
         k = min(m, len(rev))
         e[m] -= sum(map(mul, rev[len(rev) - k :], e[m - k : m]))
-    return object.__new__(TruncatedSeries)._set(den.var, order, e, num.den)
+    return TruncatedSeries._over(den.var, order, e, num.den)
 
 
 def binom_rational(top, k: int) -> Fraction:
-    """Generalized binomial coefficient top*(top-1)***(top-k+1)/k!, exact."""
+    """Generalized binomial coefficient top*(top-1)***(top-k+1)/k!, exact.
+
+    With top = p/q the falling product is prod_{j<k} (p - j*q) / q^k, so it
+    is taken on integers and one Fraction is made, over q^k * k!.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    top = Fraction(*_ratio(top))
-    num = Fraction(1)
+    p, q = _ratio(top)
+    num = 1
     for j in range(k):
-        num *= top - j
-    return num / factorial(k)
+        num *= p - j * q
+    return Fraction(num, q**k * factorial(k))

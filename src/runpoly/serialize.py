@@ -1,7 +1,9 @@
 """Lossless text encodings for the package's value types.
 
 Rationals travel as strings "p/q" (just "p" when the denominator is 1), never
-as floats, so every JSON document round-trips bit-exactly.  Triangle counts
+as floats, so every JSON document round-trips bit-exactly.  The encoders read
+a polynomial's or series' integer numerators over its one denominator, and
+ratio_to_text reduces each p/q by its gcd as it prints it.  Triangle counts
 are decimal strings too: rows past n = 20 overflow 64-bit consumers.  The
 triangle codecs lift the interpreter's int/str digit limit (Python 3.10.7+
 refuses past 4300 digits, which row entries reach near n = 1560) while they
@@ -44,10 +46,16 @@ _FRACTION_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 _COUNT_RE = re.compile(r"[0-9]+")
 
 
+def ratio_to_text(p: int, q: int) -> str:
+    """The rational p/q, for integers p and q > 0, reduced: "p" when the denominator is 1, else "p/q"."""
+    g = gcd(p, q)
+    if g != 1:
+        p, q = p // g, q // g
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
 def fraction_to_text(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return ratio_to_text(q.numerator, q.denominator)
 
 
 def text_to_fraction(text: str) -> Fraction:
@@ -92,7 +100,7 @@ def polynomial_to_doc(p: Polynomial) -> dict:
     return {
         "kind": "polynomial",
         "variable": p.var,
-        "coefficients": [fraction_to_text(c) for c in p.coeffs],
+        "coefficients": [ratio_to_text(c, p.den) for c in p.nums],
     }
 
 
@@ -102,11 +110,11 @@ def doc_to_polynomial(doc: dict) -> Polynomial:
 
 
 def bivariate_to_doc(p: BivariatePolynomial) -> dict:
-    terms = sorted(p.terms.items())
+    terms = sorted(p.nums.items())
     return {
         "kind": "polynomial",
         "variables": list(p.vars),
-        "terms": [[e1, e2, fraction_to_text(c)] for (e1, e2), c in terms],
+        "terms": [[e1, e2, ratio_to_text(c, p.den)] for (e1, e2), c in terms],
     }
 
 
@@ -130,7 +138,7 @@ def series_to_doc(ts: TruncatedSeries) -> dict:
         "kind": "series",
         "variable": ts.var,
         "order": ts.order,
-        "coefficients": [fraction_to_text(c) for c in ts.coeffs],
+        "coefficients": [ratio_to_text(c, ts.den) for c in ts.nums],
     }
 
 
@@ -172,14 +180,14 @@ def triangle_to_tsv(tri: RunCountTriangle) -> Iterator[str]:
 
 def polynomial_to_tsv(p: Polynomial | TruncatedSeries, prefix: str = "") -> str:
     """One line `j<TAB>c_j` per stored coefficient of a polynomial or series."""
-    lines = [f"{prefix}{j}\t{fraction_to_text(c)}" for j, c in enumerate(p.coeffs)]
+    lines = [f"{prefix}{j}\t{ratio_to_text(c, p.den)}" for j, c in enumerate(p.nums)]
     return "\n".join(lines)
 
 
 def bivariate_to_tsv(p: BivariatePolynomial, prefix: str = "") -> str:
     lines = [
-        f"{prefix}{e1}\t{e2}\t{fraction_to_text(c)}"
-        for (e1, e2), c in sorted(p.terms.items())
+        f"{prefix}{e1}\t{e2}\t{ratio_to_text(c, p.den)}"
+        for (e1, e2), c in sorted(p.nums.items())
     ]
     return "\n".join(lines)
 
@@ -201,12 +209,12 @@ def _power_text(var: str, e: int) -> str:
     return f"{var}^{e}" if e < 10 else f"{var}^{{{e}}}"
 
 
-def _join_signed(parts: list[tuple[Fraction | int, str]]) -> str:
-    """Render (coefficient, power-text) monomials as a signed sum."""
+def _join_signed(parts: list[tuple[int, str]], den: int = 1) -> str:
+    """Render (numerator, power-text) monomials, each numerator over den > 0, as a signed sum."""
     pieces = []
     for c, pow_text in parts:
         sign = "-" if c < 0 else ("+" if pieces else "")
-        mag = fraction_to_text(abs(c))
+        mag = ratio_to_text(abs(c), den)
         if pow_text:
             if mag == "1":
                 mag = ""
@@ -266,9 +274,9 @@ def delta_latex(factors: tuple[tuple[Fraction, int], ...], var: str = "x") -> st
 
 def series_to_latex(ts: TruncatedSeries) -> str:
     parts = [
-        (c, _power_text(ts.var, j)) for j, c in enumerate(ts.coeffs) if c
+        (c, _power_text(ts.var, j)) for j, c in enumerate(ts.nums) if c
     ]
-    head = _join_signed(parts)
+    head = _join_signed(parts, ts.den)
     return f"{head}+O({_power_text(ts.var, ts.order + 1)})"
 
 

@@ -3,7 +3,9 @@
 Every check recomputes its subject through the public module entry points
 (module-qualified calls, so test harnesses can substitute corrupted families)
 and compares exact values; a check that raises is reported as failed rather
-than aborting the battery.  Nothing here is allowed to tolerate approximate
+than aborting the battery.  A rational series coefficient is compared as its
+integer numerator, cross-multiplied by the denominators on both sides, and is
+made a Fraction only to write a failure detail.  Nothing here is allowed to tolerate approximate
 agreement.
 """
 
@@ -90,7 +92,7 @@ def run_verification(
         for s in range(1, s_max + 1):
             series = genfun.u_s_series(s, n_max)
             for n in range(2, n_max + 1):
-                if series.coefficient(n) != tri.value(n, s):
+                if series.nums[n] != tri.value(n, s) * series.den:
                     raise _CheckFailure(
                         f"P({n},{s}): series {series.coefficient(n)} != {tri.value(n, s)}"
                     )
@@ -137,9 +139,9 @@ def run_verification(
         for k in range(hi + 1):
             series = genfun.A_k_gf(k).series(40)
             for n in range(2, 41):
-                got, want = series.coefficient(n), closedform.a_value(k, n)
-                if got != want:
-                    raise _CheckFailure(f"A_{k} series at z^{n}: {got} != {want}")
+                want = closedform.a_value(k, n)
+                if series.nums[n] * want.denominator != want.numerator * series.den:
+                    raise _CheckFailure(f"A_{k} series at z^{n}: {series.coefficient(n)} != {want}")
         return f"A_k series matches the a_k polynomials for k <= {hi}, n <= 40"
 
     @check("phi-series-product")
@@ -148,8 +150,11 @@ def run_verification(
         for n in range(2, min(n_max, 10) + 1):
             for t in range(1, 7):
                 series = closedform.phi_generating_series(n, t, i_max)
+                w = closedform.K(t)
                 for i, part in enumerate(parts):
-                    if series.coefficient(i) != closedform.K(t) * part.evaluate(n, t):
+                    # series.nums[i] / series.den == K(t) * part(n, t), cross-multiplied
+                    want = part.evaluate(n, t)
+                    if series.nums[i] * w.denominator * want.denominator != w.numerator * want.numerator * series.den:
                         raise _CheckFailure(f"x^{i} coefficient wrong at n={n}, t={t}")
         return f"product form reproduces every phi part for i <= {i_max}"
 

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import runpoly
-from runpoly import bruteforce, cli, closedform, genfun, verification
+from runpoly import bruteforce, cli, closedform, genfun, triangle, verification
 from runpoly.closedform import PsiPolynomial
 from runpoly.genfun import RationalGF
 from runpoly.poly import BivariatePolynomial, Polynomial
@@ -149,6 +149,84 @@ def test_argument_past_maxsize_is_usage_error(capsys, argv):
     assert err == "error: cannot fit 'int' into an index-sized integer\n"
 
 
+def clear_family_caches():
+    """Drop the cached Phi_s and PhiTilde_k(t*x), which hold whatever a mutant built."""
+    genfun.phi_s_poly.cache_clear()
+    genfun._scaled_phi_tilde.cache_clear()
+
+
+def flip_odd_selector_signs(monkeypatch):
+    real = closedform.selector
+
+    def flipped(i):
+        return tuple((j, -g) for j, g in real(i)) if i % 2 else real(i)
+
+    for module in (closedform, genfun):
+        monkeypatch.setattr(module, "selector", flipped)
+
+
+def bump_a_value(monkeypatch):
+    real = closedform.a_value
+    monkeypatch.setattr(closedform, "a_value", lambda k, n: real(k, n) + int((k, n) == (1, 5)))
+
+
+def bump_phi_tilde_numerator(monkeypatch):
+    real = genfun.phi_tilde_poly
+
+    def bumped(k):  # one more 1/den at z^3 of PhiTilde_1
+        p = real(k)
+        return p + Polynomial.monomial("z", 3, Fraction(1, p.den)) if k == 1 else p
+
+    monkeypatch.setattr(genfun, "phi_tilde_poly", bumped)
+
+
+def bump_phi_part(monkeypatch):
+    real = closedform.phi_polys
+
+    def bumped(i_max):  # one more 1/den in the constant term of phi_2
+        parts = real(i_max)
+        parts[2] = parts[2] + BivariatePolynomial.constant(("n", "t"), Fraction(1, parts[2].den))
+        return parts
+
+    monkeypatch.setattr(closedform, "phi_polys", bumped)
+
+
+def bump_triangle_entry(monkeypatch):
+    real = triangle.build_triangle
+
+    def bumped(n_max):  # P(5, 2): 28 -> 29
+        tri = real(n_max)
+        rows = list(tri.rows)
+        rows[3] = (rows[3][0], rows[3][1] + 1) + rows[3][2:]
+        return RunCountTriangle(tri.n_max, tuple(rows))
+
+    monkeypatch.setattr(triangle, "build_triangle", bumped)
+
+
+# Each mutant of a family or of the triangle, and the failure detail that
+# names it, in the checks that compare integer numerators.
+MUTANTS = {
+    "selector-sign": (flip_odd_selector_signs, {
+        "closed-vs-recurrence": "P(3,2): closed form 12 != 4",
+        "phi-series-product": "x^1 coefficient wrong at n=2, t=1",
+        "series-vs-recurrence": "P(2,2): series 8 != 0",
+    }),
+    "a-value": (bump_a_value, {
+        "a-k-series": "A_1 series at z^5: -1 != 0",
+        "phi-series-product": "x^2 coefficient wrong at n=5, t=1",
+    }),
+    "phi-tilde-numerator": (bump_phi_tilde_numerator, {
+        "a-k-series": "A_1 series at z^3: 1/2 != 0",
+    }),
+    "phi-part": (bump_phi_part, {
+        "phi-series-product": "x^2 coefficient wrong at n=2, t=1",
+    }),
+    "triangle-entry": (bump_triangle_entry, {
+        "series-vs-recurrence": "P(5,2): series 28 != 29",
+    }),
+}
+
+
 class TestVerify:
     def test_small_battery_passes(self, capsys):
         code, out, err = run_cli(
@@ -175,25 +253,21 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", flag, value)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
-    def test_sign_flipped_selector_fails_named_checks(self, capsys, monkeypatch):
-        real = closedform.selector
-
-        def flipped(i):
-            return tuple((j, -g) for j, g in real(i)) if i % 2 else real(i)
-
-        for module in (closedform, genfun):
-            monkeypatch.setattr(module, "selector", flipped)
-        genfun.phi_s_poly.cache_clear()
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_mutant_fails_named_checks(self, capsys, monkeypatch, mutant):
+        mutate, expected = MUTANTS[mutant]
+        mutate(monkeypatch)
+        clear_family_caches()
         try:
             code, out, _ = run_cli(
                 capsys,
                 "verify", "--n-max", "8", "--s-max", "4", "--i-max", "4", "--k-max", "3",
             )
         finally:
-            genfun.phi_s_poly.cache_clear()
+            clear_family_caches()
         assert code == 1
-        failed = {c["name"] for c in json.loads(out)["checks"] if not c["passed"]}
-        assert {"closed-vs-recurrence", "phi-series-product", "series-vs-recurrence"} <= failed
+        failed = {c["name"]: c["detail"] for c in json.loads(out)["checks"] if not c["passed"]}
+        assert {name: failed.get(name) for name in expected} == expected
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_corrupted_psi_family_fails_named_check(self, capsys, monkeypatch, fmt):

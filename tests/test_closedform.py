@@ -23,7 +23,7 @@ from runpoly.closedform import (
     psi_polys,
     selector,
 )
-from runpoly.poly import BivariatePolynomial, Polynomial, binom_rational
+from runpoly.poly import BivariatePolynomial, Polynomial, TruncatedSeries, binom_rational
 from runpoly.triangle import build_triangle
 
 
@@ -154,6 +154,16 @@ class TestPhiParts:
             series = phi_generating_series(n, t, 12)
             for i, part in enumerate(parts):
                 assert series.coefficient(i) == K(t) * part.evaluate(n, t), (n, t, i)
+
+
+    @given(st.integers(0, 30), st.integers(1, 8), st.integers(0, 16))
+    @settings(max_examples=100, deadline=None)
+    def test_generating_series_is_the_polynomial_product(self, n, t, order):
+        a, b = [Fraction(0)] * (order + 1), [Fraction(0)] * (order + 1)
+        for k in range(order // 2 + 1):
+            a[2 * k], b[2 * k] = a_value(k, n), b_value(k, t)
+        product = Polynomial("x", a) * Polynomial("x", b) * Polynomial("x", [1, -1]) ** 2 * K(t)
+        assert phi_generating_series(n, t, order) == TruncatedSeries("x", order, product.coeffs)
 
 
 class TestPsiWeights:

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -27,11 +28,49 @@ from runpoly.genfun import (
     u_s_series,
     verify_wz_sum,
 )
-from runpoly.poly import NonzeroRemainderError, Polynomial
+from runpoly.poly import NonzeroRemainderError, Polynomial, binom_rational
 from runpoly.triangle import build_triangle
 
 
+def atilde_by_fractions(k):
+    """ATilde_k summed in Fractions, term by term as its docstring writes it."""
+    coeffs = [Fraction(0)] * (2 * k + 2)
+    coeffs[2 * k + 1] = Fraction(1)
+    for m in range(k + 1):
+        coeffs[2 * k - 2 * m] += binom_rational(Fraction(-3, 2), k) * comb(k, m) * Fraction((-1) ** (k + m), 2 * m + 1)
+    return Polynomial("z", coeffs)
+
+
+def atilde_coeffs_by_fractions(k):
+    """atilde_k(0..k) from the closed formula, summed in Fractions."""
+    out = []
+    for p in range(k + 1):
+        correction = sum(
+            (comb(k, m) * comb(2 * k - 2 * m, k + p + 1) * Fraction((-1) ** (k + m), 2 * m + 1)
+             for m in range((k - p - 1) // 2 + 1)),
+            Fraction(0),
+        )
+        out.append((-1) ** p * (comb(2 * k + 1, k + p + 1) - binom_rational(Fraction(-3, 2), k) * correction))
+    return out
+
+
+def wz_sum_by_fractions(k):
+    return sum(
+        (comb(k, m) * comb(2 * k - 2 * m, k - 2 * m) * Fraction((-1) ** m * (k + 1), 2 * m + 1)
+         for m in range(k // 2 + 1)),
+        Fraction(0),
+    )
+
+
 class TestAtilde:
+    def test_integer_sums_match_fraction_definitions(self):
+        for k in range(26):
+            assert atilde_poly(k) == atilde_by_fractions(k), k
+            assert verify_wz_sum(k) == (wz_sum_by_fractions(k) == 4**k), k
+            formula = genfun._atilde_coeffs_formula(k)
+            assert [formula.coefficient(p) for p in range(k + 1)] == atilde_coeffs_by_fractions(k), k
+            assert list(atilde_taylor_coeffs(k)) == atilde_coeffs_by_fractions(k), k
+
     def test_first_two(self):
         assert atilde_poly(0) == Polynomial("z", [1, 1])
         assert atilde_poly(1) == Polynomial("z", [Fraction(-1, 2), 0, Fraction(3, 2), 1])

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd
+from math import factorial, gcd
 from pathlib import Path
 
 import pytest
@@ -470,6 +470,14 @@ class TestBinomials:
 
     def test_five_halves_choose_two(self):
         assert binom_rational(Fraction(5, 2), 2) == Fraction(15, 8)
+
+    @given(small_fractions, st.integers(0, 30))
+    @settings(max_examples=200)
+    def test_matches_fraction_falling_product(self, top, k):
+        product = Fraction(1)
+        for j in range(k):
+            product *= top - j
+        assert binom_rational(top, k) == product / factorial(k)
 
     @given(st.integers(0, 30), st.integers(0, 30))
     @settings(max_examples=100)
