@@ -252,8 +252,6 @@ def phi_s_poly(s: int) -> Polynomial:
     Raises DegreeMismatchError unless the result has degree exactly
     1 + ceil(s(s+2)/4).
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
     total = Polynomial("x")
     prefix = Polynomial.constant("x", 1)
     for i, (c, e) in enumerate(delta_factors(s)):
@@ -271,16 +269,19 @@ def phi_s_poly(s: int) -> Polynomial:
 def check_partial_fractions(s: int) -> None:
     """Clear each block B_{i,k}(x, s-i)/(1-(s-i)x)^(k+1) over Delta_s and compare with Phi_s.
 
-    Every block is cleared on its own by an exact division of Delta_s, a
-    route independent of the running sum inside phi_s_poly.  Raises
-    DualPathMismatchError naming the lowest coefficient that differs.
+    Each block is multiplied by its cofactor Delta_s/(1-(s-i)x)^(k+1), made
+    from the one for k-1 (Delta_s before k = 0) by one exact division by
+    1-(s-i)x; the route never reads the running sum inside phi_s_poly.
+    Raises DualPathMismatchError naming the lowest coefficient that differs.
     """
     delta = u_s_gf(s).denominator()
     total = Polynomial("x")
     for i in range(s):
         t = s - i
+        own, cofactor = Polynomial("x", [1, -t]), delta
         for k in range(i // 2 + 1):
-            total = total + B_poly(i, k, t) * delta.div_exact(Polynomial("x", [1, -t]) ** (k + 1))
+            cofactor = cofactor.div_exact(own)
+            total = total + B_poly(i, k, t) * cofactor
     want = phi_s_poly(s)
     if total == want:
         return

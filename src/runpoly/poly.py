@@ -16,8 +16,10 @@ checked whenever two polynomials are combined; mixing tags raises ValueError.
 
 Only the substitutions the families need are offered: integer argument
 shifts (shift, substitute_linear) and integer argument scaling
-(scale_argument).  series_quotient divides by a denominator with integer
-coefficients and constant term 1, as Delta_s and (1-z)^(k+1) are.
+(scale_argument).  series_quotient, the one division loop, divides by a
+denominator with integer coefficients and constant term 1, as Delta_s,
+(1-z)^(k+1) and (1+z)^(k+1) are; div_exact is that series plus a check that
+its terms past the quotient are zero, so it takes the same divisors.
 binom_rational takes its falling product on the integer numerator and
 denominator of the top argument and makes one Fraction, at the end.
 
@@ -228,35 +230,20 @@ class Polynomial(Immutable):
         return Polynomial._over(self.var, out, self.den)
 
     def div_exact(self, d: Polynomial) -> Polynomial:
-        """Return q with self = q*d exactly.
+        """Return q with self = q*d exactly; d needs integer coefficients and constant term 1.
 
-        Raises NonzeroRemainderError if d does not divide self; a nonzero
-        remainder here signals a broken identity, not a recoverable state.
+        q is the first deg self - deg d + 1 terms of series_quotient(self, d,
+        deg self), and d divides self exactly when the later terms are zero.
+        Else NonzeroRemainderError names the first nonzero one, the lowest term
+        of self - q*d as d(0) = 1: a broken identity, not a recoverable state.
+        Any other divisor, zero included, raises series_quotient's ValueError.
         """
-        self._check_var(d)
-        if d.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-        # self = rem/self.den and d = div/d.den; rem and quot share the scale
-        # `den`, which grows only when a quotient step does not divide evenly.
-        rem, div = list(self.nums), d.nums
-        dn, lead = d.degree, div[-1]
-        quot = [0] * max(len(rem) - dn, 0)
-        den = 1
-        for i in range(len(rem) - 1, dn - 1, -1):
-            f = abs(lead) // gcd(rem[i], lead)
-            if f != 1:
-                rem = [c * f for c in rem]
-                quot = [c * f for c in quot]
-                den *= f
-            c = quot[i - dn] = rem[i] // lead
-            if c:
-                for j, y in enumerate(div, i - dn):
-                    rem[j] -= c * y
-        for j, c in enumerate(rem):
-            if c:
-                c = Fraction(c, den * self.den)
-                raise NonzeroRemainderError(f"remainder has {c} at {self.var}^{j}")
-        return Polynomial._over(self.var, [c * d.den for c in quot], den * self.den)
+        series = series_quotient(self, d, max(self.degree, 0))
+        split = max(self.degree - d.degree + 1, 0)
+        j = next((j for j in range(split, series.order + 1) if series.nums[j]), None)
+        if j is not None:
+            raise NonzeroRemainderError(f"remainder has {series.coefficient(j)} at {self.var}^{j}")
+        return Polynomial._over(self.var, list(series.nums[:split]), series.den)
 
 
 class BivariatePolynomial(Immutable):

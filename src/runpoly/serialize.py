@@ -262,12 +262,12 @@ def phi_row_latex(p: Polynomial) -> str:
     return head if p.den == 1 else f"{head}/{p.den}"
 
 
-def delta_latex(factors: tuple[tuple[Fraction, int], ...], var: str = "x") -> str:
+def delta_latex(factors: tuple[tuple[Fraction, int], ...]) -> str:
     """The factored denominator, e.g. (1-4x)(1-3x)(1-2x)^2(1-x)^2."""
     pieces = []
     for c, e in factors:
         c_text = "" if c == 1 else fraction_to_text(c)
-        base = f"(1-{c_text}{var})"
+        base = f"(1-{c_text}x)"
         pieces.append(base if e == 1 else f"{base}^{e}")
     return "".join(pieces)
 

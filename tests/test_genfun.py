@@ -276,7 +276,7 @@ class TestRationalGF:
         assert gf.denominator() == u_s_gf(2).denominator()
 
     def test_partial_fractions_clear_to_numerator(self):
-        for s in range(1, 7):
+        for s in range(1, 13):
             check_partial_fractions(s)  # raises on a mismatch
 
     def test_partial_fractions_compare_with_module_phi(self, monkeypatch):

@@ -6,6 +6,7 @@ from math import factorial, gcd
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,11 @@ coefficients = st.one_of(st.just(Fraction(0)), small_fractions)
 
 def polys(var="x", max_deg=5):
     return st.lists(coefficients, max_size=max_deg + 1).map(lambda cs: Polynomial(var, cs))
+
+
+def divisors(var="x", max_deg=4):
+    """Divisors div_exact takes: integer coefficients and constant term 1."""
+    return st.lists(small_ints, max_size=max_deg).map(lambda tail: Polynomial(var, [1, *tail]))
 
 
 def bipolys(vars=("n", "s"), max_deg=3):
@@ -192,9 +198,9 @@ class TestNormalForm:
         padded = [0, *p.coeffs] + [0] * (len(cs) + 1 - len(p.coeffs))
         assert [p.coefficient(j) for j in range(-1, len(cs) + 1)] == padded
 
-    @given(polys(), polys(), small_fractions)
+    @given(polys(), polys(), small_fractions, divisors())
     @settings(max_examples=100)
-    def test_results_are_reduced(self, p, q, c):
+    def test_results_are_reduced(self, p, q, c, d):
         total, product = p + q, p * q
         for r in (total, product, p * c, p + c):
             assert_reduced(r)
@@ -204,10 +210,9 @@ class TestNormalForm:
             for j, b in enumerate(q.coeffs):
                 want[i + j] += a * b
         assert product.coeffs == stripped(want)
-        if not q.is_zero:
-            quotient = product.div_exact(q)
-            assert_reduced(quotient)
-            assert quotient.coeffs == p.coeffs
+        quotient = (p * d).div_exact(d)
+        assert_reduced(quotient)
+        assert quotient.coeffs == p.coeffs
 
     @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficients, max_size=6))
     @settings(max_examples=100)
@@ -261,28 +266,45 @@ class TestDivExact:
         assert p.div_exact(d) == Polynomial("x", [1, 1])
 
     def test_nonzero_remainder_raises(self):
-        # 1 + x = -1 * (1 - x) + 2
-        with pytest.raises(NonzeroRemainderError, match=r"remainder has 2 at x\^0"):
+        # 1 + x = 1 * (1 - x) + 2x: the series quotient is 1, the remainder 2x
+        with pytest.raises(NonzeroRemainderError, match=r"remainder has 2 at x\^1"):
             Polynomial("x", [1, 1]).div_exact(Polynomial("x", [1, -1]))
 
     def test_zero_divisor_rejected(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValueError, match="integer denominator with constant term 1"):
             Polynomial("x", [1]).div_exact(Polynomial("x"))
 
     def test_non_monic_rational_divisor(self):
-        # (1/2 + x/3)(2 - 3x) divided by (2 - 3x): the quotient needs 1/3 and 1/2
-        d = Polynomial("x", [2, -3])
-        p = Polynomial("x", [Fraction(1, 2), Fraction(1, 3)]) * d
-        assert p.div_exact(d) == Polynomial("x", [Fraction(1, 2), Fraction(1, 3)])
-        with pytest.raises(NonzeroRemainderError, match=r"remainder has 1/3 at x\^0"):
-            (p + Fraction(1, 3)).div_exact(d)
+        # 2 - 3x, 1 + x/2 and x are rejected whether or not they divide
+        for d in (Polynomial("x", [2, -3]), Polynomial("x", [1, Fraction(1, 2)]), Polynomial("x", [0, 1])):
+            for p in (d * Polynomial("x", [Fraction(1, 2), Fraction(1, 3)]), Polynomial("x", [1])):
+                with pytest.raises(ValueError, match="integer denominator with constant term 1"):
+                    p.div_exact(d)
 
-    @given(polys(), polys())
+    @given(polys(), divisors())
     @settings(max_examples=100)
     def test_mul_then_div_roundtrip(self, q, d):
-        if d.is_zero:
-            return
         assert (q * d).div_exact(d) == q
+
+    @given(polys(max_deg=3), divisors(), st.one_of(st.just(Polynomial("x")), polys(max_deg=6)))
+    @settings(max_examples=100)
+    def test_agrees_with_sympy_div(self, q, d, r):
+        x = sympy.Symbol("x")
+
+        def to_sympy(poly):
+            expr = sum(sympy.Rational(c.numerator, c.denominator) * x**j for j, c in enumerate(poly.coeffs))
+            return sympy.Poly(expr, x, domain=sympy.QQ)
+
+        p = q * d + r  # r is often zero, so both of sympy's outcomes are drawn
+        want, rem = sympy.div(to_sympy(p), to_sympy(d), domain=sympy.QQ)
+        if rem.is_zero:
+            coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(want.all_coeffs())]
+            assert p.div_exact(d) == Polynomial("x", coeffs)
+        else:
+            with pytest.raises(NonzeroRemainderError, match=r"at x\^(\d+)$") as err:
+                p.div_exact(d)
+            power = int(err.value.args[0].rsplit("^", 1)[1])
+            assert p.degree - d.degree < power <= p.degree
 
 
 class TestRingAxioms:
