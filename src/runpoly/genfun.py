@@ -14,9 +14,12 @@ degree k+2.  The atilde coefficients are computed by two independent routes
 
 u_s is assembled from partial-fraction blocks B_{i,k}(x, s-i)/(1-(s-i)x)^(k+1)
 and cleared over the common denominator Delta_s to yield Phi_s, a polynomial
-of degree exactly 1 + ceil(s(s+2)/4); check_partial_fractions clears the
-blocks a second, independent way.  RationalGF.denominator() expands Delta_s
-once per process, and u_s_gf(s).series(order) is the one series of u_s.
+of degree exactly 1 + ceil(s(s+2)/4).  One pass over integer coefficient
+lists, _phi_delta, builds Phi_s and Delta_s together, cut at x^order when a
+series of that order is all that is read: phi_s_poly is the whole pass, and
+u_s_series divides the pair.  check_partial_fractions clears the blocks a
+second, independent way, over RationalGF.denominator(), which expands Delta_s
+from its factors once per process and never reads the pass.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from functools import lru_cache
 from math import comb, lcm
 
 from .closedform import K, b_value, selector
-from .poly import Immutable, Polynomial, TruncatedSeries, binom_rational, series_quotient
+from .poly import Immutable, Polynomial, TruncatedSeries, _product, binom_rational, series_quotient
 from .triangle import RunCountTriangle
 
 
@@ -220,14 +223,20 @@ def B_poly(i: int, k: int, t: int) -> Polynomial:
     """The partial-fraction numerator B_{i,k}(x, t), a degree-(k+2) polynomial in x.
 
     B_{i,k}(x,t) = K(t) * PhiTilde_k(t*x) * sum_{j=k}^{floor(i/2)} g_{i,j} b_{j-k}(t),
-    the sum running over the nonzero entries of closedform.selector(i).
+    the sum running over the nonzero entries of closedform.selector(i).  The
+    weight K(t) * sum g b is taken as one integer numerator over one denominator.
     """
     if not 0 <= k <= i // 2:
         raise ValueError(f"k must be in 0..{i // 2} for i={i}, got {k}")
     if t < 1:
         raise ValueError("t must be >= 1")
-    weight = sum((g * b_value(j - k, t) for j, g in selector(i) if j >= k), Fraction(0))
-    return _scaled_phi_tilde(k, t) * (K(t) * weight)
+    weight, den = 0, 1  # sum g b_{j-k}(t) = weight / den
+    for j, g in selector(i):
+        if j >= k:
+            b = b_value(j - k, t)
+            weight, den = weight * b.denominator + g * b.numerator * den, den * b.denominator
+    w, pt = K(t), _scaled_phi_tilde(k, t)
+    return Polynomial._over("x", [c * w.numerator * weight for c in pt.nums], pt.den * w.denominator * den)
 
 
 @lru_cache(maxsize=None)
@@ -240,30 +249,56 @@ def phi_degree(s: int) -> int:
     return 1 + delta_degree(s)
 
 
+def _times_one_minus(p: list[int], t: int, size: int | None) -> list[int]:
+    """p(x) * (1 - t*x), cut to its first size terms (all of them when size is None)."""
+    return [a - t * b for a, b in zip(p + [0], [0] + p)][:size]
+
+
+def _plus(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b) :]
+
+
 @lru_cache(maxsize=None)
-def phi_s_poly(s: int) -> Polynomial:
-    """The numerator Phi_s(x) of u_s, cleared over Delta_s.
+def _phi_delta(s: int, order: int | None) -> tuple[Polynomial, Polynomial]:
+    """Phi_s and Delta_s from one pass over integer lists, both mod x^(order+1) unless order is None.
 
     u_s(x) = sum_i inner_i(x) / (1-(s-i)x)^(floor(i/2)+1) with
     inner_i = sum_k B_{i,k}(x, s-i) (1-(s-i)x)^(floor(i/2)-k).  The blocks are
     summed in one pass over the Delta_s factors as a/b + c/d = (ad + cb)/bd,
-    so b runs through the prefix products and no division is needed.
+    so b runs through the prefix products, which end at Delta_s, and no
+    division is needed.  Every B_{i,k} is brought over one denominator first,
+    so the pass is in integers; a factor (1-tx)^e is e linear passes, and only
+    inner_i times the prefix is a convolution.  A term past x^order never
+    reaches one at or below it, so each list is cut there as it is made.
+    """
+    size = None if order is None else order + 1
+    blocks = [[B_poly(i, k, s - i) for k in range(i // 2 + 1)] for i in range(s)]
+    den = lcm(*(b.den for row in blocks for b in row))
+    total, prefix = [], [1]
+    for i, (_, e) in enumerate(delta_factors(s)):
+        t, inner = s - i, []
+        for b in blocks[i]:  # Horner's rule in powers of 1 - t*x
+            inner = _plus(_times_one_minus(inner, t, size), [c * (den // b.den) for c in b.nums[:size]])
+        part = _product(inner, prefix, size)
+        for _ in range(e):
+            total, prefix = _times_one_minus(total, t, size), _times_one_minus(prefix, t, size)
+        total = _plus(total, part)
+    return Polynomial._over("x", total, den), Polynomial._over("x", prefix, 1)
+
+
+@lru_cache(maxsize=None)
+def phi_s_poly(s: int) -> Polynomial:
+    """The numerator Phi_s(x) of u_s, cleared over Delta_s: the whole of _phi_delta's pass.
 
     Raises DegreeMismatchError unless the result has degree exactly
     1 + ceil(s(s+2)/4).
     """
-    total = Polynomial("x")
-    prefix = Polynomial.constant("x", 1)
-    for i, (c, e) in enumerate(delta_factors(s)):
-        own = Polynomial("x", [1, -c])
-        inner = Polynomial("x")
-        for k in range(i // 2 + 1):  # Horner's rule in powers of own
-            inner = inner * own + B_poly(i, k, s - i)
-        factor = own**e
-        total, prefix = total * factor + inner * prefix, prefix * factor
-    if total.degree != phi_degree(s):
-        raise DegreeMismatchError(f"deg Phi_{s} = {total.degree}, expected {phi_degree(s)}")
-    return total
+    phi = _phi_delta(s, None)[0]
+    if phi.degree != phi_degree(s):
+        raise DegreeMismatchError(f"deg Phi_{s} = {phi.degree}, expected {phi_degree(s)}")
+    return phi
 
 
 def check_partial_fractions(s: int) -> None:
@@ -271,7 +306,7 @@ def check_partial_fractions(s: int) -> None:
 
     Each block is multiplied by its cofactor Delta_s/(1-(s-i)x)^(k+1), made
     from the one for k-1 (Delta_s before k = 0) by one exact division by
-    1-(s-i)x; the route never reads the running sum inside phi_s_poly.
+    1-(s-i)x; the route never reads the running sum inside _phi_delta.
     Raises DualPathMismatchError naming the lowest coefficient that differs.
     """
     delta = u_s_gf(s).denominator()
@@ -298,12 +333,17 @@ def u_s_gf(s: int) -> RationalGF:
 
 
 def u_s_series(s: int, order: int) -> TruncatedSeries:
-    """Series of u_s(x); the x^n coefficient is P(n, s) for 2 <= n <= order."""
+    """Series of u_s(x); the x^n coefficient is P(n, s) for 2 <= n <= order.
+
+    The quotient of the pair from _phi_delta, cut at x^order; when order >=
+    deg Phi_s nothing would be cut, so the whole pair phi_s_poly reads is used.
+    """
     if s < 1:
         raise ValueError("s must be >= 1")
     if order < 2:
         raise ValueError("order must be >= 2")
-    return u_s_gf(s).series(order)
+    cut = order if order < phi_degree(s) else None  # at or past deg Phi_s nothing is cut
+    return series_quotient(*_phi_delta(s, cut), order)
 
 
 def series_triangle(n_max: int) -> RunCountTriangle:

@@ -52,6 +52,19 @@ def _over_lcm(values: Iterable) -> tuple[list[int], int]:
     return [p * (d // q) for p, q in pairs], d
 
 
+def _product(a, b, size: int | None = None) -> list[int]:
+    """The integer coefficients of a(x) * b(x), cut to the first size (all of them when size is None)."""
+    if len(a) > len(b):
+        a, b = b, a  # the short factor outside
+    n = len(a) + len(b) - 1 if size is None else min(len(a) + len(b) - 1, size)
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i], i):
+                out[j] += x * y
+    return out
+
+
 def _shift_powers(shift: int, top: int) -> list[list[int]]:
     """Integer rows with (V + shift)**e = sum_j rows[e][j] V**j for e <= top."""
     rows = [[1]]
@@ -181,13 +194,7 @@ class Polynomial(Immutable):
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_var(other)
-        a, b = sorted((self.nums, other.nums), key=len)  # the short factor outside
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return Polynomial._over(self.var, out, self.den * other.den)
+        return Polynomial._over(self.var, _product(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -435,16 +442,22 @@ def series_quotient(num: Polynomial, den: Polynomial, order: int) -> TruncatedSe
 
     den must have integer coefficients and constant term 1, else ValueError.
     Then e_m = num.den * c_m satisfies, in integers,
-    e_m = num_m - sum_{k=1..m} den_k e_{m-k}, and the series is e over num.den.
+    e_m = num_m - sum_{k=1..m} den_k e_{m-k}, and the series is e over num.den;
+    for den = 1 - t*x that is one multiply-add a term.
     """
     num._check_var(den)
     if den.den != 1 or den.nums[:1] != (1,):
         raise ValueError("series_quotient requires an integer denominator with constant term 1")
     rev = den.nums[:0:-1]
     e = list(num.nums[: order + 1]) + [0] * (order + 1 - len(num.nums))
-    for m in range(1, order + 1):
-        k = min(m, len(rev))
-        e[m] -= sum(map(mul, rev[len(rev) - k :], e[m - k : m]))
+    if len(rev) == 1:  # den = 1 - t*x: e_m = num_m + t e_{m-1}
+        t = -rev[0]
+        for m in range(1, order + 1):
+            e[m] += t * e[m - 1]
+    else:
+        for m in range(1, order + 1):
+            k = min(m, len(rev))
+            e[m] -= sum(map(mul, rev[len(rev) - k :], e[m - k : m]))
     return TruncatedSeries._over(den.var, order, e, num.den)
 
 

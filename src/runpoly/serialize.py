@@ -19,12 +19,14 @@ ENCODERS at the bottom holds the one encoder for each (document kind,
 format) pair the CLI prints; `encode` looks them up.  Every encoder returns
 its text as an iterable of chunks that join to the document: a triangle
 comes a row at a time, so its tens of megabytes of text never sit in memory
-at once.  A triangle encoder reads only `n_max` and iterates `rows` once, so
-it serves a `RunCountTriangle` and the CLI's recurrence table alike, whose
-rows are exact integral `Decimal`s made as they are read; it only calls str()
-on the counts.  Decoders raise ValueError, and only ValueError, on a
-malformed document.  They accept ASCII digits only (int() would take any
-script's digits), and a count is bare digits: no sign, "_" or space.
+at once.  The triangle and psi json are written directly in the layout of
+json.dumps(doc, indent=2).  A triangle encoder reads only `n_max` and
+iterates `rows` once, so it serves a `RunCountTriangle` and the CLI's
+recurrence table alike, whose rows are exact integral `Decimal`s made as
+they are read; it only calls str() on the counts.  Decoders raise
+ValueError, and only ValueError, on a malformed document.  They accept
+ASCII digits only (int() would take any script's digits), and a count is
+bare digits: no sign, "_" or space.
 """
 
 from __future__ import annotations
@@ -291,11 +293,32 @@ def series_to_latex(ts: TruncatedSeries) -> str:
 
 
 def _psi_json(family: list[PsiPolynomial]) -> dict:
+    """The psi document, whose json text _psi_json_text writes."""
     rows = [
         {"i": psi.index, "prefactor": _prefactor(psi.index), "part": bivariate_to_doc(psi.part)}
         for psi in family
     ]
     return {"kind": "polynomial", "family": "psi", "rows": rows}
+
+
+def _psi_json_text(family: list[PsiPolynomial]) -> str:
+    """The text of json.dumps(_psi_json(family), indent=2), written directly."""
+    rows = []
+    for psi in family:
+        p = psi.part
+        names = ",".join(f"\n          {json.dumps(v)}" for v in p.vars)
+        terms = ",".join(
+            f'\n          [\n            {e1},\n            {e2},\n            "{ratio_to_text(c, p.den)}"\n          ]'
+            for (e1, e2), c in sorted(p.nums.items())
+        )
+        terms = f"[{terms}\n        ]" if terms else "[]"
+        rows.append(
+            f'\n    {{\n      "i": {psi.index},\n      "prefactor": "{_prefactor(psi.index)}",'
+            f'\n      "part": {{\n        "kind": "polynomial",\n        "variables": [{names}\n        ],'
+            f'\n        "terms": {terms}\n      }}\n    }}'
+        )
+    body = f"[{','.join(rows)}\n  ]" if rows else "[]"
+    return f'{{\n  "kind": "polynomial",\n  "family": "psi",\n  "rows": {body}\n}}'
 
 
 def _phi_json(gf: RationalGF, s: int) -> dict:
@@ -349,7 +372,7 @@ ENCODERS = {
     ("triangle", "json"): _triangle_json,
     ("triangle", "tsv"): triangle_to_tsv,
     ("triangle", "latex"): lambda tri: _triangle_lines(tri, " & ", r" \\"),
-    ("psi", "json"): _json(_psi_json),
+    ("psi", "json"): _whole(_psi_json_text),
     ("psi", "tsv"): _whole(lambda family: _join_lines(
         *(bivariate_to_tsv(psi.part, f"{psi.index}\t") for psi in family)
     )),

@@ -150,8 +150,9 @@ def test_argument_past_maxsize_is_usage_error(capsys, argv):
 
 
 def clear_family_caches():
-    """Drop the cached Phi_s and PhiTilde_k(t*x), which hold whatever a mutant built."""
+    """Drop the cached Phi_s, Phi_s/Delta_s pass and PhiTilde_k(t*x), which hold whatever a mutant built."""
     genfun.phi_s_poly.cache_clear()
+    genfun._phi_delta.cache_clear()
     genfun._scaled_phi_tilde.cache_clear()
 
 
@@ -313,8 +314,14 @@ class TestVerify:
         assert "series-vs-recurrence" in failed or "partial-fractions" in failed
 
     def test_non_integer_series_table_is_a_verification_failure(self, capsys, monkeypatch):
-        real = genfun.phi_s_poly
-        monkeypatch.setattr(genfun, "phi_s_poly", lambda s: real(s) * Fraction(1, 3) if s == 1 else real(s))
+        # the series reads Phi_s from the Phi_s/Delta_s pass; a third of Phi_1 is not integral
+        real = genfun._phi_delta
+
+        def third_of_phi_1(s, order):
+            phi, delta = real(s, order)
+            return (phi * Fraction(1, 3) if s == 1 else phi), delta
+
+        monkeypatch.setattr(genfun, "_phi_delta", third_of_phi_1)
         code, out, err = run_cli(capsys, "table", "--method", "series", "--n-max", "4")
         assert (code, out) == (1, "")
         assert err.startswith("verification failure:")

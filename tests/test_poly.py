@@ -466,6 +466,13 @@ class TestTruncatedSeries:
         d = Polynomial("x", [1, *tail])  # integer coefficients, constant term 1
         assert series_quotient(q * d, d, 8) == TruncatedSeries("x", 8, q.coeffs)
 
+    @given(polys(), st.integers(-9, 9).filter(bool), st.integers(0, 12))
+    @settings(max_examples=100)
+    def test_one_minus_t_x_divisor(self, num, t, order):
+        # num/(1 - t*x) has x^m coefficient sum_{j<=m} num_j t^(m-j)
+        want = [sum(num.coefficient(j) * t ** (m - j) for j in range(m + 1)) for m in range(order + 1)]
+        assert series_quotient(num, Polynomial("x", [1, -t]), order).coeffs == tuple(want)
+
     @given(st.lists(coefficients, max_size=12), st.integers(0, 10))
     @settings(max_examples=100)
     def test_normal_form(self, cs, order):

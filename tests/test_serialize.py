@@ -7,11 +7,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from runpoly.closedform import psi_polys
+from runpoly.closedform import PsiPolynomial, psi_polys
 from runpoly.genfun import delta_factors, phi_s_poly, u_s_series
-from runpoly.poly import Polynomial, TruncatedSeries
+from runpoly.poly import BivariatePolynomial, Polynomial, TruncatedSeries
 from runpoly.serialize import (
     _any_int_digits,
+    _psi_json,
+    _psi_json_text,
     encode,
     bivariate_to_doc,
     delta_latex,
@@ -179,6 +181,20 @@ def test_mutated_doc_round_trips_or_raises_value_error(data):
     except ValueError:
         return
     assert decode(json.loads(json.dumps(encode(value)))) == value
+
+
+class TestPsiJsonText:
+    def test_is_json_dumps_layout(self):
+        # the writer against json.dumps's own indent=2 layout, for every i_max <= 40
+        family = psi_polys(40)
+        for i_max in range(41):
+            rows = family[: i_max + 1]
+            assert _psi_json_text(rows) == json.dumps(_psi_json(rows), indent=2), i_max
+
+    def test_empty_lists_are_written_like_json_dumps(self):
+        zero = PsiPolynomial(0, BivariatePolynomial(("n", "s")))
+        for rows in ([], [zero]):
+            assert _psi_json_text(rows) == json.dumps(_psi_json(rows), indent=2)
 
 
 class TestTsv:
