@@ -22,9 +22,10 @@ and K(t) t^n do not depend on s, so each is formed once per row.
 
 closed_row and phi_generating_series share one integer convolution,
 _p_numerators: the a_k(n) (from _a_numerators) and the b_m(t) are brought
-over one denominator each, and p_j(n, t) is summed as integer numerators
-over their product.  It reads a_value and b_value only, never phi_polys or
-the recurrence, so the checks built on it stay independent of both.
+over one denominator each, and p_j(n, t) is their cut poly._product over
+the product of the two.  It reads a_value and b_value only, never phi_polys
+or the recurrence, so the checks built on it stay independent of both.
+a_poly and b_poly multiply their linear factors out by poly._times_linear.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from .poly import BivariatePolynomial, Immutable, Polynomial, TruncatedSeries, _over_lcm, binom_rational
+from .poly import BivariatePolynomial, Immutable, Polynomial, TruncatedSeries, binom_rational
+from .poly import _over_lcm, _product, _times_linear
 from .triangle import RunCountTriangle
 
 
@@ -51,10 +53,10 @@ def K(s: int) -> Fraction:
 @lru_cache(maxsize=None)
 def a_poly(k: int) -> Polynomial:
     """a_k(n) = (-1)^k binom((n-3)/2, k) = prod_{j<k} (n-3-2j) / ((-2)^k k!), degree k in n."""
-    acc = Polynomial.constant("n", 1)
+    nums = [1]
     for j in range(k):
-        acc = acc * Polynomial("n", [-3 - 2 * j, 1])
-    return acc * Fraction(1, (-2) ** k * factorial(k))
+        nums = _times_linear(nums, -3 - 2 * j, 1)
+    return Polynomial._over("n", nums, (-2) ** k * factorial(k))
 
 
 def a_value(k: int, n: int) -> Fraction:
@@ -86,10 +88,10 @@ def b_poly(m: int) -> Polynomial:
         raise ValueError("m must be >= 0")
     if m == 0:
         return Polynomial.constant("t", 1)
-    acc = Polynomial("t", [0, 1])
+    nums = [0, 1]
     for j in range(m + 1, 2 * m):
-        acc = acc * Polynomial("t", [j, 1])
-    return acc * Fraction(1, factorial(m) * 4**m)
+        nums = _times_linear(nums, j, 1)
+    return Polynomial._over("t", nums, factorial(m) * 4**m)
 
 
 NT_VARS = ("n", "t")
@@ -155,7 +157,7 @@ def _p_numerators(a_row: tuple[list[int], int], t: int, j_max: int) -> tuple[lis
     """
     a, da = a_row
     b, db = _over_lcm([b_value(m, t) for m in range(j_max + 1)])
-    return [sum(a[k] * b[j - k] for k in range(j + 1)) for j in range(j_max + 1)], da * db
+    return _product(a, b, j_max + 1), da * db
 
 
 def closed_row(n: int, s_max: int) -> tuple[int, ...]:
@@ -223,6 +225,6 @@ def phi_generating_series(n: int, t: int, order: int) -> TruncatedSeries:
     even = [0] * (order + 1)  # sum_j p_j x^(2j)
     even[::2] = p
     w = K(t)
-    # times (1-x)^2 = 1 - 2x + x^2, expanded here rather than read from selector
-    nums = [w.numerator * (c - 2 * c1 + c2) for c, c1, c2 in zip(even, [0] + even, [0, 0] + even)]
+    # times (1-x)^2 as two linear passes, not read from selector; _over cuts at x^order
+    nums = _times_linear(_times_linear(even, w.numerator, -w.numerator), 1, -1)
     return TruncatedSeries._over("x", order, nums, dp * w.denominator)

@@ -19,7 +19,9 @@ lists, _phi_delta, builds Phi_s and Delta_s together, cut at x^order when a
 series of that order is all that is read: phi_s_poly is the whole pass, and
 u_s_series divides the pair.  check_partial_fractions clears the blocks a
 second, independent way, over RationalGF.denominator(), which expands Delta_s
-from its factors once per process and never reads the pass.
+from its factors once per process and never reads the pass.  A factored
+denominator prod (1 - c*x)^e has integer parameters c, as series_quotient
+needs.  Every list pass here is a poly kernel: _times_linear, _plus, _product.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import lru_cache
 from math import comb, lcm
 
 from .closedform import K, b_value, selector
-from .poly import Immutable, Polynomial, TruncatedSeries, _product, binom_rational, series_quotient
+from .poly import Immutable, Polynomial, TruncatedSeries, _plus, _product, _times_linear, binom_rational, series_quotient
 from .triangle import RunCountTriangle
 
 
@@ -42,25 +44,34 @@ class DualPathMismatchError(ArithmeticError):
 
 
 @lru_cache(maxsize=None)
-def _expand_factors(var: str, factors: tuple[tuple[Fraction, int], ...]) -> Polynomial:
-    """prod (1 - c*var)^e over the (c, e) pairs, expanded once per distinct product."""
-    prod = Polynomial.constant(var, 1)
+def _expand_factors(var: str, factors: tuple[tuple[int, int], ...]) -> Polynomial:
+    """prod (1 - c*var)^e over the integer (c, e) pairs, once per distinct product: e linear passes a factor."""
+    nums = [1]
     for c, e in factors:
-        prod = prod * Polynomial(var, [1, -c]) ** e
-    return prod
+        for _ in range(e):
+            nums = _times_linear(nums, 1, -c)
+    return Polynomial._over(var, nums, 1)
+
+
+def _integer(c) -> int:
+    """c as an int when it is an int or an integral Fraction, else ValueError."""
+    if type(c) is int or isinstance(c, Fraction) and c.denominator == 1:
+        return int(c)
+    raise ValueError(f"denominator parameters must be integers, got {c!r}")
 
 
 class RationalGF(Immutable):
     """A rational generating function numerator / prod (1 - c*x)^e.
 
     The denominator is kept factored as a tuple of (parameter c, multiplicity e)
-    pairs with distinct parameters; denominator() expands each distinct one once.
+    pairs with distinct integer parameters, an integral Fraction bound as its
+    int; denominator() expands each distinct product once.
     """
 
     __slots__ = ("numerator", "denominator_factors")
 
-    def __init__(self, numerator: Polynomial, denominator_factors: tuple[tuple[Fraction, int], ...]):
-        factors = tuple((c, e) for c, e in denominator_factors)
+    def __init__(self, numerator: Polynomial, denominator_factors: tuple[tuple[int, int], ...]):
+        factors = tuple((_integer(c), e) for c, e in denominator_factors)
         params = [c for c, _ in factors]
         if len(set(params)) != len(params):
             raise ValueError("denominator parameters must be distinct")
@@ -126,7 +137,7 @@ def verify_wz_sum(k: int) -> bool:
 
 
 def _one_plus_z(e: int) -> Polynomial:
-    return Polynomial("z", [1, 1]) ** e
+    return _expand_factors("z", ((-1, e),))  # (1 - (-1)z)^e
 
 
 def _atilde_coeffs_formula(k: int) -> Polynomial:
@@ -200,7 +211,7 @@ def A_k_gf(k: int) -> RationalGF:
     """A_k(z) = PhiTilde_k(z)/(1-z)^(k+1); its z^n coefficient is a_k(n) for n >= 2."""
     return RationalGF(
         numerator=phi_tilde_poly(k),
-        denominator_factors=((Fraction(1), k + 1),),
+        denominator_factors=((1, k + 1),),
     )
 
 
@@ -208,11 +219,11 @@ def A_k_gf(k: int) -> RationalGF:
 # The fixed-s generating functions u_s(x)
 
 
-def delta_factors(s: int) -> tuple[tuple[Fraction, int], ...]:
+def delta_factors(s: int) -> tuple[tuple[int, int], ...]:
     """Factors (c, e) of Delta_s(x) = prod_{i=0}^{s-1} (1-(s-i)x)^(floor(i/2)+1)."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    return tuple((Fraction(s - i), i // 2 + 1) for i in range(s))
+    return tuple((s - i, i // 2 + 1) for i in range(s))
 
 
 def delta_degree(s: int) -> int:
@@ -235,29 +246,12 @@ def B_poly(i: int, k: int, t: int) -> Polynomial:
         if j >= k:
             b = b_value(j - k, t)
             weight, den = weight * b.denominator + g * b.numerator * den, den * b.denominator
-    w, pt = K(t), _scaled_phi_tilde(k, t)
+    w, pt = K(t), phi_tilde_poly(k).scale_argument(t, new_var="x")
     return Polynomial._over("x", [c * w.numerator * weight for c in pt.nums], pt.den * w.denominator * den)
-
-
-@lru_cache(maxsize=None)
-def _scaled_phi_tilde(k: int, t: int) -> Polynomial:
-    """PhiTilde_k(t*x), shared by the blocks B_{i,k}(x, t) of every i."""
-    return phi_tilde_poly(k).scale_argument(t, new_var="x")
 
 
 def phi_degree(s: int) -> int:
     return 1 + delta_degree(s)
-
-
-def _times_one_minus(p: list[int], t: int, size: int | None) -> list[int]:
-    """p(x) * (1 - t*x), cut to its first size terms (all of them when size is None)."""
-    return [a - t * b for a, b in zip(p + [0], [0] + p)][:size]
-
-
-def _plus(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    return [x + y for x, y in zip(a, b)] + a[len(b) :]
 
 
 @lru_cache(maxsize=None)
@@ -280,10 +274,10 @@ def _phi_delta(s: int, order: int | None) -> tuple[Polynomial, Polynomial]:
     for i, (_, e) in enumerate(delta_factors(s)):
         t, inner = s - i, []
         for b in blocks[i]:  # Horner's rule in powers of 1 - t*x
-            inner = _plus(_times_one_minus(inner, t, size), [c * (den // b.den) for c in b.nums[:size]])
+            inner = _plus(_times_linear(inner, 1, -t, size), [c * (den // b.den) for c in b.nums[:size]])
         part = _product(inner, prefix, size)
         for _ in range(e):
-            total, prefix = _times_one_minus(total, t, size), _times_one_minus(prefix, t, size)
+            total, prefix = _times_linear(total, 1, -t, size), _times_linear(prefix, 1, -t, size)
         total = _plus(total, part)
     return Polynomial._over("x", total, den), Polynomial._over("x", prefix, 1)
 

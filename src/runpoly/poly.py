@@ -14,6 +14,10 @@ degree -1.  Operations work on these integers; `coeffs`, `coefficient` and
 Every polynomial carries a variable tag ("x", "z", "n", "t", ...) which is
 checked whenever two polynomials are combined; mixing tags raises ValueError.
 
+The loops over integer coefficient lists live in three kernels: _product
+(convolution), _times_linear (product by c0 + c1*x) and _plus (sum);
+Polynomial and every family's product of linear factors run on them.
+
 Only the substitutions the families need are offered: integer argument
 shifts (shift, substitute_linear) and integer argument scaling
 (scale_argument).  series_quotient, the one division loop, divides by a
@@ -65,12 +69,26 @@ def _product(a, b, size: int | None = None) -> list[int]:
     return out
 
 
+def _times_linear(p, c0: int, c1: int, size: int | None = None) -> list[int]:
+    """The integer coefficients of p(x) * (c0 + c1*x), cut to the first size (all of them when size is None)."""
+    pairs = zip([*p, 0], [0, *p])
+    if c0 == 1:  # each (1 - c*x) of a factored denominator: one multiply a term
+        return [lo + c1 * hi for lo, hi in pairs][:size]
+    return [c0 * lo + c1 * hi for lo, hi in pairs][:size]
+
+
+def _plus(a: list[int], b: list[int]) -> list[int]:
+    """The integer coefficients of a(x) + b(x)."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b) :]
+
+
 def _shift_powers(shift: int, top: int) -> list[list[int]]:
     """Integer rows with (V + shift)**e = sum_j rows[e][j] V**j for e <= top."""
     rows = [[1]]
     for _ in range(top):
-        prev = rows[-1]
-        rows.append([shift * lo + hi for lo, hi in zip(prev + [0], [0] + prev)])
+        rows.append(_times_linear(rows[-1], shift, 1))
     return rows
 
 
@@ -179,11 +197,7 @@ class Polynomial(Immutable):
         self._check_var(other)
         g = gcd(self.den, other.den)
         a, b = [c * (other.den // g) for c in self.nums], [c * (self.den // g) for c in other.nums]
-        if len(a) < len(b):
-            a, b = b, a
-        for j, c in enumerate(b):
-            a[j] += c
-        return Polynomial._over(self.var, a, self.den * (other.den // g))
+        return Polynomial._over(self.var, _plus(a, b), self.den * (other.den // g))
 
     __radd__ = __add__
 
@@ -202,13 +216,8 @@ class Polynomial(Immutable):
         if n < 0:
             raise ValueError("negative polynomial power")
         result = Polynomial.constant(self.var, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
+        for _ in range(n):  # the powers taken are of short bases, (1+z)^(k+1) and the like
+            result = result * self
         return result
 
     def evaluate(self, a) -> Fraction:
@@ -258,16 +267,19 @@ class BivariatePolynomial(Immutable):
 
     nums maps exponent pairs (e1, e2) to nonzero integer numerators over den,
     in the reduced form above; BivariatePolynomial(("n", "s"), {(1, 0): 2,
-    (0, 1): -1}) is 2n - s.  Polynomials compare and hash by value.
+    (0, 1): -1}) is 2n - s.  An exponent other than a non-negative int
+    raises ValueError.  Polynomials compare and hash by value.
     """
 
     __slots__ = ("vars", "nums", "den")
 
     def __init__(self, vars: tuple[str, str], terms: Mapping | None = None):
         terms = terms or {}
+        bad = next((e for e in terms if len(e) != 2 or not all(type(j) is int and j >= 0 for j in e)), None)
+        if bad is not None:
+            raise ValueError(f"exponents must be pairs of non-negative ints, got {bad!r}")
         nums, den = _over_lcm(terms.values())
-        keys = ((int(e1), int(e2)) for e1, e2 in terms)
-        self._set((str(vars[0]), str(vars[1])), dict(zip(keys, nums)), den)
+        self._set((str(vars[0]), str(vars[1])), dict(zip(terms, nums)), den)
 
     def _set(self, vars: tuple[str, str], nums: dict, den: int) -> BivariatePolynomial:
         nums = {e: c for e, c in nums.items() if c}

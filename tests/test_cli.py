@@ -150,10 +150,9 @@ def test_argument_past_maxsize_is_usage_error(capsys, argv):
 
 
 def clear_family_caches():
-    """Drop the cached Phi_s, Phi_s/Delta_s pass and PhiTilde_k(t*x), which hold whatever a mutant built."""
+    """Drop the cached Phi_s and Phi_s/Delta_s pass, which hold whatever a mutant built."""
     genfun.phi_s_poly.cache_clear()
     genfun._phi_delta.cache_clear()
-    genfun._scaled_phi_tilde.cache_clear()
 
 
 def flip_odd_selector_signs(monkeypatch):

@@ -19,6 +19,9 @@ from runpoly.poly import (
     NonzeroRemainderError,
     Polynomial,
     TruncatedSeries,
+    _plus,
+    _product,
+    _times_linear,
     binom_rational,
     series_quotient,
 )
@@ -365,6 +368,50 @@ class TestBivariate:
         q = p.substitute_linear(1, -2, new_name="s")
         assert q.vars == ("n", "s")
         assert q == BivariatePolynomial(("n", "s"), {(0, 1): 1, (0, 0): -2})
+
+    # (1.0, 0) == (1, 0), and a dict keeps the first of two equal keys: the
+    # third case reaches the constructor as {(1.0, 0): 2}.  In the other order
+    # it would be {(1, 0): 2}, a valid polynomial.
+    @pytest.mark.parametrize(
+        "terms",
+        [{(1.5, 0): 1}, {(-1, 0): 1}, {(1.0, 0): 1, (1, 0): 2}, {(0, True): 1}],
+        ids=["float", "negative", "float-and-int-alike", "bool"],
+    )
+    def test_rejects_exponents_that_are_not_nonnegative_ints(self, terms):
+        with pytest.raises(ValueError, match="non-negative ints"):
+            BivariatePolynomial(("n", "s"), terms)
+
+
+int_lists = st.lists(small_ints, max_size=6)
+sizes = st.one_of(st.none(), st.integers(0, 8))
+
+
+def same_terms(got, want):
+    return all(a == b for a, b in zip_longest(got, want, fillvalue=0))
+
+
+class TestListKernels:
+    @given(int_lists, small_ints, small_ints, sizes)
+    @settings(max_examples=200)
+    def test_times_linear_is_the_cut_product_by_a_linear_factor(self, p, c0, c1, size):
+        got = _times_linear(p, c0, c1, size)
+        want = (Polynomial("x", p) * Polynomial("x", [c0, c1])).coeffs
+        assert len(got) == len([*p, 0][:size])
+        assert same_terms(got, want[:size])
+
+    @given(int_lists, int_lists)
+    @settings(max_examples=200)
+    def test_plus_is_polynomial_addition(self, a, b):
+        got = _plus(a, b)
+        assert len(got) == max(len(a), len(b))
+        assert Polynomial("x", got) == Polynomial("x", a) + Polynomial("x", b)
+
+    @given(int_lists, int_lists, sizes)
+    @settings(max_examples=200)
+    def test_product_cut_is_the_whole_product_cut(self, a, b, size):
+        whole = _product(a, b)
+        assert Polynomial("x", whole) == Polynomial("x", a) * Polynomial("x", b)
+        assert _product(a, b, size) == whole[:size]
 
 
 VALUES = {
