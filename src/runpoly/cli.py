@@ -3,12 +3,13 @@
 Subcommands: table (the P(n,s) triangle by any of the four methods), psi and
 phi (the two polynomial families), series (u_s coefficients), and verify (the
 full cross-check battery).  Data goes to stdout, diagnostics to stderr.  Exit
-codes: 0 success, 1 verification failure, 2 usage error or Ctrl-C, nothing
-else.  A command computes its whole result before the first byte of stdout,
-then streams the text, so a failed computation leaves stdout empty.  The one
-exception is `table --method recurrence`: after its argument check it
-computes the triangle a row at a time as the row is written, in exact
-`Decimal` arithmetic that raises rather than round (see `DecimalTriangle`).
+codes: 0 success, 1 verification failure, 2 usage error, Ctrl-C or running
+out of memory, nothing else.  A command computes its whole result before the
+first byte of stdout, then streams the text, so a failed computation leaves
+stdout empty.  The one exception is `table --method recurrence`: after its
+argument check it computes the triangle a row at a time as the row is
+written, in exact `Decimal` arithmetic that raises rather than round (see
+`DecimalTriangle`).
 """
 
 from __future__ import annotations
@@ -71,43 +72,33 @@ METHODS = {
 class OutputDocument(Immutable):
     """One computed result, and the text chunks that print it (see serialize.encode)."""
 
-    __slots__ = ("payload", "failed")
-
-    def __init__(self, payload: Iterable[str], failed: tuple[str, ...] = ()):
-        super().__init__(payload, failed)  # failed: names of the failed verification checks
+    __slots__ = ("payload", "failed")  # failed: names of the failed verification checks
 
 
 def _document(kind: str, fmt: str, value, **params) -> OutputDocument:
-    return OutputDocument(serialize.encode(kind, fmt, value, **params))
+    return OutputDocument(serialize.encode(kind, fmt, value, **params), ())
 
 
-def cmd_table(n_max: int, method: str = "recurrence", fmt: str = "json") -> OutputDocument:
+def cmd_table(n_max: int, method: str, fmt: str) -> OutputDocument:
     return _document("triangle", fmt, METHODS[method](n_max), method=method)
 
 
-def cmd_psi(i_max: int, fmt: str = "json") -> OutputDocument:
+def cmd_psi(i_max: int, fmt: str) -> OutputDocument:
     return _document("psi", fmt, closedform.psi_polys(i_max))
 
 
-def cmd_phi(s: int, fmt: str = "json") -> OutputDocument:
+def cmd_phi(s: int, fmt: str) -> OutputDocument:
     return _document("phi", fmt, genfun.u_s_gf(s), s=s)
 
 
-def cmd_series(s: int, order: int = 30, fmt: str = "json") -> OutputDocument:
+def cmd_series(s: int, order: int, fmt: str) -> OutputDocument:
     return _document("series", fmt, genfun.u_s_series(s, order), s=s)
 
 
-def cmd_verify(
-    n_max: int = 20,
-    s_max: int = 10,
-    i_max: int = 10,
-    k_max: int = 20,
-    fmt: str = "json",
-) -> tuple[OutputDocument, int]:
+def cmd_verify(n_max: int, s_max: int, i_max: int, k_max: int, fmt: str) -> OutputDocument:
     results = verification.run_verification(n_max, s_max, i_max, k_max)
     failed = tuple(r.name for r in results if not r.passed)
-    payload = serialize.encode("verification-report", fmt, results)
-    return OutputDocument(payload, failed), 1 if failed else 0
+    return OutputDocument(serialize.encode("verification-report", fmt, results), failed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--s-max", type=int, default=10)
     p_verify.add_argument("--i-max", type=int, default=10)
     p_verify.add_argument("--k-max", type=int, default=20)
-    p_verify.set_defaults(run=lambda **kw: cmd_verify(**kw)[0])
+    p_verify.set_defaults(run=cmd_verify)
 
     for p in sub.choices.values():
         p.add_argument("--format", choices=FORMATS, default="json", dest="fmt")
@@ -180,6 +171,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; try smaller arguments", file=sys.stderr)
         return 2
 
     if doc.failed:

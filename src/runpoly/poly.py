@@ -238,11 +238,10 @@ class Polynomial(Immutable):
         return Polynomial._over(new_var or self.var, out, self.den)
 
     def shift(self, by: int) -> Polynomial:
-        """Return p(X + by) for an integer by, as a polynomial in the same variable."""
-        out = [0] * len(self.nums)
-        for c, row in zip(self.nums, _shift_powers(by, self.degree)):
-            for j, w in enumerate(row):
-                out[j] += c * w
+        """Return p(X + by) for an integer by, in the same variable, by Horner's rule."""
+        out = []
+        for c in reversed(self.nums):
+            out = _plus(_times_linear(out, by, 1), [c])
         return Polynomial._over(self.var, out, self.den)
 
     def div_exact(self, d: Polynomial) -> Polynomial:

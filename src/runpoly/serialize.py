@@ -56,10 +56,6 @@ def ratio_to_text(p: int, q: int) -> str:
     return str(p) if q == 1 else f"{p}/{q}"
 
 
-def fraction_to_text(q: Fraction) -> str:
-    return ratio_to_text(q.numerator, q.denominator)
-
-
 def text_to_fraction(text: str) -> Fraction:
     m = _FRACTION_RE.fullmatch(text) if isinstance(text, str) else None
     if m is None:
@@ -264,11 +260,11 @@ def phi_row_latex(p: Polynomial) -> str:
     return head if p.den == 1 else f"{head}/{p.den}"
 
 
-def delta_latex(factors: tuple[tuple[Fraction, int], ...]) -> str:
+def delta_latex(factors: tuple[tuple[int, int], ...]) -> str:
     """The factored denominator, e.g. (1-4x)(1-3x)(1-2x)^2(1-x)^2."""
     pieces = []
     for c, e in factors:
-        c_text = "" if c == 1 else fraction_to_text(c)
+        c_text = "" if c == 1 else str(c)
         base = f"(1-{c_text}x)"
         pieces.append(base if e == 1 else f"{base}^{e}")
     return "".join(pieces)
@@ -328,14 +324,14 @@ def _phi_json(gf: RationalGF, s: int) -> dict:
         "s": s,
         "numerator": polynomial_to_doc(gf.numerator),
         "denominator_factors": [
-            {"parameter": fraction_to_text(c), "multiplicity": e}
+            {"parameter": str(c), "multiplicity": e}
             for c, e in gf.denominator_factors
         ],
     }
 
 
 def _phi_tsv(gf: RationalGF) -> str:
-    factors = [f"factor\t{fraction_to_text(c)}\t{e}" for c, e in gf.denominator_factors]
+    factors = [f"factor\t{c}\t{e}" for c, e in gf.denominator_factors]
     return _join_lines(polynomial_to_tsv(gf.numerator, "coefficient\t"), *factors)
 
 

@@ -13,7 +13,6 @@ the recurrence; it works in any number type that the base entry 2 is given in.
 
 from __future__ import annotations
 
-from math import factorial
 from typing import Iterator
 
 from .poly import Immutable
@@ -58,9 +57,6 @@ class RunCountTriangle(Immutable):
         if not 2 <= n <= self.n_max:
             raise ValueError(f"n must be in 2..{self.n_max}, got {n}")
         return self.rows[n - 2]
-
-    def row_sums_are_factorials(self) -> bool:
-        return all(sum(self.row(n)) == factorial(n) for n in range(2, self.n_max + 1))
 
 
 def recurrence_rows(two, n_max: int) -> Iterator[tuple]:

@@ -51,6 +51,7 @@ def run_verification(
             raise ValueError(f"{name} must be >= {least}, got {value}")
 
     tri = triangle.build_triangle(n_max)
+    ak_max = min(k_max, 12)  # the A_k, Taylor-path and PhiTilde_k checks stop at k = 12
     results = []
 
     def check(name):
@@ -128,21 +129,19 @@ def run_verification(
 
     @check("atilde-dual-path")
     def _dual():
-        hi = min(k_max, 12)
-        for k in range(hi + 1):
+        for k in range(ak_max + 1):
             genfun.atilde_taylor_coeffs(k)  # raises DualPathMismatchError on failure
-        return f"closed formula and Taylor shift agree for k <= {hi}"
+        return f"closed formula and Taylor shift agree for k <= {ak_max}"
 
     @check("a-k-series")
     def _ak_series():
-        hi = min(k_max, 12)
-        for k in range(hi + 1):
+        for k in range(ak_max + 1):
             series = genfun.A_k_gf(k).series(40)
             for n in range(2, 41):
                 want = closedform.a_value(k, n)
                 if series.nums[n] * want.denominator != want.numerator * series.den:
                     raise _CheckFailure(f"A_{k} series at z^{n}: {series.coefficient(n)} != {want}")
-        return f"A_k series matches the a_k polynomials for k <= {hi}, n <= 40"
+        return f"A_k series matches the a_k polynomials for k <= {ak_max}, n <= 40"
 
     @check("phi-series-product")
     def _phi_series():
@@ -174,7 +173,7 @@ def run_verification(
                 raise _CheckFailure(f"deg Delta_{s} wrong")
             if genfun.phi_s_poly(s).degree != genfun.phi_degree(s):
                 raise _CheckFailure(f"deg Phi_{s} wrong")
-        for k in range(min(k_max, 12) + 1):
+        for k in range(ak_max + 1):
             if genfun.phi_tilde_poly(k).degree != k + 2:
                 raise _CheckFailure(f"deg PhiTilde_{k} wrong")
         return "n-degrees, Phi/Delta degrees, and PhiTilde degrees all as claimed"

@@ -8,6 +8,7 @@ criterion's runtime budget.
 
 import json
 import time
+from math import factorial
 
 from golden_tables import PHI_ROWS, PSI_ROWS, phi_row_poly, psi_row_terms
 from runpoly import cli, closedform, genfun
@@ -86,7 +87,8 @@ def test_criterion_3_four_way_agreement():
 def test_criterion_4_row_sums():
     started = time.time()
     triangle = build_triangle(30)
-    failures = [] if triangle.row_sums_are_factorials() else ["some row sum != n!"]
+    bad = next((n for n in range(2, 31) if sum(triangle.row(n)) != factorial(n)), None)
+    failures = [] if bad is None else [f"row n={bad} does not sum to n!"]
     report(4, "triangle rows sum to n! for 2 <= n <= 30", failures, started, budget=1)
 
 
@@ -147,11 +149,11 @@ def test_criterion_7_mutation_sensitivity(monkeypatch):
     failures = []
 
     def verify_flags_failure(label):
-        doc, code = cli.cmd_verify(n_max=8, s_max=4, i_max=5, k_max=3)
+        doc = cli.cmd_verify(n_max=8, s_max=4, i_max=5, k_max=3, fmt="json")
         report = json.loads("".join(doc.payload))
         named = [c["name"] for c in report["checks"] if not c["passed"]]
-        if code != 1 or not named:
-            failures.append(f"{label}: exit {code}, named {named}")
+        if not named or list(doc.failed) != named:
+            failures.append(f"{label}: failed {doc.failed}, named {named}")
 
     real_psi = closedform.psi_polys
     for exponents in sorted(real_psi(3)[3].part.terms):

@@ -616,13 +616,17 @@ def test_import_leaves_out_dataclasses_and_inspect():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
-def test_ctrl_c_exits_two(capsys, monkeypatch):
+@pytest.mark.parametrize("exc, message", [
+    (KeyboardInterrupt, "interrupted"),
+    (MemoryError, "error: out of memory; try smaller arguments"),
+], ids=["KeyboardInterrupt", "MemoryError"])
+def test_ctrl_c_exits_two(capsys, monkeypatch, exc, message):
     def interrupted(n_max):
-        raise KeyboardInterrupt
+        raise exc
 
     monkeypatch.setitem(cli.METHODS, "recurrence", interrupted)
     code, out, err = run_cli(capsys, "table", "--n-max", "5")
-    assert (code, out, err) == (2, "", "interrupted\n")
+    assert (code, out, err) == (2, "", f"{message}\n")
 
 
 def test_closed_pipe_mid_json_is_not_an_error():

@@ -152,6 +152,7 @@ class TestAgainstEvaluation:
         assert (p * c).evaluate(a) == c * p.evaluate(a)
         assert p.scale_argument(k).evaluate(a) == p.evaluate(k * a)
         assert p.shift(k).evaluate(a) == p.evaluate(a + k)
+        assert p.shift(k).shift(-k) == p
 
     @pytest.mark.parametrize("by", [Fraction(1, 2), Fraction(2)])
     def test_non_integer_shift_or_scale_rejected(self, by):
@@ -419,7 +420,7 @@ VALUES = {
     "BivariatePolynomial": lambda: BivariatePolynomial(("n", "s"), {(1, 0): 2}),
     "TruncatedSeries": lambda: TruncatedSeries("x", 2, [1]),
     "RunCountTriangle": lambda: build_triangle(3),
-    "OutputDocument": lambda: OutputDocument(["text"]),
+    "OutputDocument": lambda: OutputDocument(["text"], ()),
     "PsiPolynomial": lambda: psi_polys(1)[1],
     "RationalGF": lambda: u_s_gf(1),
     "IdentityReport": lambda: verify_psi_recurrence(psi_polys(2), 1),
@@ -443,6 +444,7 @@ RECORDS = {
     CheckResult: ("row-sums", True, "ok"),
     PsiPolynomial: (1, BivariatePolynomial(("n", "s"), {(0, 0): 1})),
     IdentityReport: ("psi", 1, (), None),
+    OutputDocument: (["text"], ("row-sums",)),
 }
 
 
