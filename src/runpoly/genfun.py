@@ -12,16 +12,16 @@ the Taylor coefficients atilde_k(p) and the reduced numerator PhiTilde_k of
 degree k+2.  The atilde coefficients are computed by two independent routes
 (closed formula and exact division + Taylor shift) which must agree.
 
-u_s is assembled from partial-fraction blocks B_{i,k}(x, s-i)/(1-(s-i)x)^(k+1)
-and cleared over the common denominator Delta_s to yield Phi_s, a polynomial
-of degree exactly 1 + ceil(s(s+2)/4).  One pass over integer coefficient
-lists, _phi_delta, builds Phi_s and Delta_s together, cut at x^order when a
-series of that order is all that is read: phi_s_poly is the whole pass, and
-u_s_series divides the pair.  check_partial_fractions clears the blocks a
-second, independent way, over RationalGF.denominator(), which expands Delta_s
-from its factors once per process and never reads the pass.  A factored
-denominator prod (1 - c*x)^e has integer parameters c, as series_quotient
-needs.  Every list pass here is a poly kernel: _times_linear, _plus, _product.
+u_s is the sum of partial-fraction blocks B_{i,k}(x, s-i)/(1-(s-i)x)^(k+1),
+which _blocks takes as integer numerators over one denominator.  u_s_series
+sums them pole by pole, one division by 1-(s-i)x a block, cut at x^order;
+phi_s_poly clears them over the common denominator Delta_s by products, to
+Phi_s, a polynomial of degree exactly 1 + ceil(s(s+2)/4).
+check_partial_fractions ties the two: the series times Delta_s, from
+RationalGF.denominator(), is Phi_s, and since every block has degree k+2 a
+cut just past deg Delta_s + 1 is exact.  A factored denominator
+prod (1 - c*x)^e has integer parameters c, as series_quotient needs.  Every
+list pass here is a poly kernel: _times_linear, _over_linear, _plus, _product.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import comb, lcm
 
 from .closedform import K, b_value, selector
-from .poly import Immutable, Polynomial, TruncatedSeries, _plus, _product, _times_linear, binom_rational, series_quotient
+from .poly import Immutable, Polynomial, TruncatedSeries, _over_linear, _plus, _product, _times_linear, binom_rational, series_quotient
 from .triangle import RunCountTriangle
 
 
@@ -254,67 +254,59 @@ def phi_degree(s: int) -> int:
     return 1 + delta_degree(s)
 
 
-@lru_cache(maxsize=None)
-def _phi_delta(s: int, order: int | None) -> tuple[Polynomial, Polynomial]:
-    """Phi_s and Delta_s from one pass over integer lists, both mod x^(order+1) unless order is None.
+def _blocks(s: int) -> tuple[list[tuple[int, list[list[int]]]], int]:
+    """Every block B_{i,k}(x, s-i) of u_s as integer numerators over one denominator den.
 
-    u_s(x) = sum_i inner_i(x) / (1-(s-i)x)^(floor(i/2)+1) with
-    inner_i = sum_k B_{i,k}(x, s-i) (1-(s-i)x)^(floor(i/2)-k).  The blocks are
-    summed in one pass over the Delta_s factors as a/b + c/d = (ad + cb)/bd,
-    so b runs through the prefix products, which end at Delta_s, and no
-    division is needed.  Every B_{i,k} is brought over one denominator first,
-    so the pass is in integers; a factor (1-tx)^e is e linear passes, and only
-    inner_i times the prefix is a convolution.  A term past x^order never
-    reaches one at or below it, so each list is cut there as it is made.
+    rows[i] = (t, [B_{i,k} for k in range(e)]) for the i-th factor (t, e) of
+    delta_factors(s), the one place the order e of the pole 1-tx is read.
     """
-    size = None if order is None else order + 1
-    blocks = [[B_poly(i, k, s - i) for k in range(i // 2 + 1)] for i in range(s)]
+    factors = delta_factors(s)
+    blocks = [[B_poly(i, k, t) for k in range(e)] for i, (t, e) in enumerate(factors)]
     den = lcm(*(b.den for row in blocks for b in row))
-    total, prefix = [], [1]
-    for i, (_, e) in enumerate(delta_factors(s)):
-        t, inner = s - i, []
-        for b in blocks[i]:  # Horner's rule in powers of 1 - t*x
-            inner = _plus(_times_linear(inner, 1, -t, size), [c * (den // b.den) for c in b.nums[:size]])
-        part = _product(inner, prefix, size)
-        for _ in range(e):
-            total, prefix = _times_linear(total, 1, -t, size), _times_linear(prefix, 1, -t, size)
-        total = _plus(total, part)
-    return Polynomial._over("x", total, den), Polynomial._over("x", prefix, 1)
+    return [(t, [[c * (den // b.den) for c in b.nums] for b in row]) for (t, _), row in zip(factors, blocks)], den
 
 
 @lru_cache(maxsize=None)
 def phi_s_poly(s: int) -> Polynomial:
-    """The numerator Phi_s(x) of u_s, cleared over Delta_s: the whole of _phi_delta's pass.
+    """The numerator Phi_s(x) of u_s: the blocks cleared over Delta_s by products, in integers.
 
-    Raises DegreeMismatchError unless the result has degree exactly
-    1 + ceil(s(s+2)/4).
+    Each pole 1-tx of order e gives inner = sum_k B_{i,k} (1-tx)^(e-1-k) by
+    Horner's rule, and the poles are summed as a/b + c/d = (ad + cb)/bd, b
+    running through the prefix products of Delta_s.  Raises
+    DegreeMismatchError unless deg Phi_s = 1 + ceil(s(s+2)/4).
     """
-    phi = _phi_delta(s, None)[0]
+    rows, den = _blocks(s)
+    total, prefix = [], [1]
+    for t, row in rows:
+        inner = []
+        for nums in row:  # Horner's rule in powers of 1 - t*x
+            inner = _plus(_times_linear(inner, 1, -t), nums)
+        part = _product(inner, prefix)
+        for _ in row:  # times (1 - t*x)^e, e = len(row)
+            total, prefix = _times_linear(total, 1, -t), _times_linear(prefix, 1, -t)
+        total = _plus(total, part)
+    phi = Polynomial._over("x", total, den)
     if phi.degree != phi_degree(s):
         raise DegreeMismatchError(f"deg Phi_{s} = {phi.degree}, expected {phi_degree(s)}")
     return phi
 
 
 def check_partial_fractions(s: int) -> None:
-    """Clear each block B_{i,k}(x, s-i)/(1-(s-i)x)^(k+1) over Delta_s and compare with Phi_s.
+    """Clear the blocks over Delta_s as u_s_series(s, d) times Delta_s and compare with Phi_s.
 
-    Each block is multiplied by its cofactor Delta_s/(1-(s-i)x)^(k+1), made
-    from the one for k-1 (Delta_s before k = 0) by one exact division by
-    1-(s-i)x; the route never reads the running sum inside _phi_delta.
-    Raises DualPathMismatchError naming the lowest coefficient that differs.
+    The product is cut after x^d, d = max(deg Phi_s, deg Delta_s + 1), which is
+    exact: B_{i,k} has degree k+2, so each cleared block has degree at most
+    deg Delta_s + 1.  That side takes Delta_s from RationalGF.denominator() and
+    the poles by division, never phi_s_poly's pass of products.  Raises
+    DualPathMismatchError naming the lowest coefficient that differs.
     """
-    delta = u_s_gf(s).denominator()
-    total = Polynomial("x")
-    for i in range(s):
-        t = s - i
-        own, cofactor = Polynomial("x", [1, -t]), delta
-        for k in range(i // 2 + 1):
-            cofactor = cofactor.div_exact(own)
-            total = total + B_poly(i, k, t) * cofactor
-    want = phi_s_poly(s)
+    want, delta = phi_s_poly(s), u_s_gf(s).denominator()
+    d = max(want.degree, delta.degree + 1)
+    series = u_s_series(s, d)
+    total = Polynomial._over("x", _product(series.nums, delta.nums, d + 1), series.den)
     if total == want:
         return
-    for j in range(max(total.degree, want.degree) + 1):
+    for j in range(d + 1):
         if total.coefficient(j) != want.coefficient(j):
             raise DualPathMismatchError(
                 f"Phi_{s} at x^{j}: cleared blocks give {total.coefficient(j)} != {want.coefficient(j)}"
@@ -329,15 +321,21 @@ def u_s_gf(s: int) -> RationalGF:
 def u_s_series(s: int, order: int) -> TruncatedSeries:
     """Series of u_s(x); the x^n coefficient is P(n, s) for 2 <= n <= order.
 
-    The quotient of the pair from _phi_delta, cut at x^order; when order >=
-    deg Phi_s nothing would be cut, so the whole pair phi_s_poly reads is used.
+    Each pole 1-tx is summed from its top k as pole = (pole + B_{i,k})/(1-tx),
+    cut at x^order: no Phi_s, Delta_s or convolution is built.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
     if order < 2:
         raise ValueError("order must be >= 2")
-    cut = order if order < phi_degree(s) else None  # at or past deg Phi_s nothing is cut
-    return series_quotient(*_phi_delta(s, cut), order)
+    rows, den = _blocks(s)
+    total = [0] * (order + 1)
+    for t, row in rows:
+        pole = [0] * (order + 1)
+        for nums in reversed(row):
+            pole = _over_linear(_plus(pole, nums[: order + 1]), t)
+        total = _plus(total, pole)
+    return TruncatedSeries._over("x", order, total, den)
 
 
 def series_triangle(n_max: int) -> RunCountTriangle:

@@ -9,21 +9,21 @@ degree -1.  Operations work on these integers; `coeffs`, `coefficient` and
   Polynomial           dense, one variable: nums[j] / den is the coefficient of var**j
   BivariatePolynomial  sparse, two variables: {(e1, e2): numerator} over den
   TruncatedSeries      dense, one variable, fixed truncation order: nums[j] / den
-                       for j <= order; a value with no arithmetic, made by series_quotient
+                       for j <= order; a value with no arithmetic
 
 Every polynomial carries a variable tag ("x", "z", "n", "t", ...) which is
 checked whenever two polynomials are combined; mixing tags raises ValueError.
 
-The loops over integer coefficient lists live in three kernels: _product
-(convolution), _times_linear (product by c0 + c1*x) and _plus (sum);
-Polynomial and every family's product of linear factors run on them.
+The loops over integer coefficient lists live in four kernels: _product
+(convolution), _times_linear (times c0 + c1*x), _over_linear (series over
+1 - t*x) and _plus (sum); Polynomial and every family run on them.
 
 Only the substitutions the families need are offered: integer argument
 shifts (shift, substitute_linear) and integer argument scaling
-(scale_argument).  series_quotient, the one division loop, divides by a
-denominator with integer coefficients and constant term 1, as Delta_s,
-(1-z)^(k+1) and (1+z)^(k+1) are; div_exact is that series plus a check that
-its terms past the quotient are zero, so it takes the same divisors.
+(scale_argument).  series_quotient is the one division by a polynomial, in
+one loop: the denominator must have integer coefficients and constant term
+1, as Delta_s, (1-z)^(k+1) and (1+z)^(k+1) have; div_exact is that series
+plus a check that its terms past the quotient are zero.
 binom_rational takes its falling product on the integer numerator and
 denominator of the top argument and makes one Fraction, at the end.
 
@@ -33,6 +33,7 @@ All values are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping
@@ -69,12 +70,17 @@ def _product(a, b, size: int | None = None) -> list[int]:
     return out
 
 
-def _times_linear(p, c0: int, c1: int, size: int | None = None) -> list[int]:
-    """The integer coefficients of p(x) * (c0 + c1*x), cut to the first size (all of them when size is None)."""
+def _times_linear(p, c0: int, c1: int) -> list[int]:
+    """The integer coefficients of p(x) * (c0 + c1*x)."""
     pairs = zip([*p, 0], [0, *p])
     if c0 == 1:  # each (1 - c*x) of a factored denominator: one multiply a term
-        return [lo + c1 * hi for lo, hi in pairs][:size]
-    return [c0 * lo + c1 * hi for lo, hi in pairs][:size]
+        return [lo + c1 * hi for lo, hi in pairs]
+    return [c0 * lo + c1 * hi for lo, hi in pairs]
+
+
+def _over_linear(p, t: int) -> list[int]:
+    """The first len(p) integer coefficients of the series p(x) / (1 - t*x): out_m = p_m + t*out_(m-1)."""
+    return list(accumulate(p, lambda acc, c: c + t * acc))
 
 
 def _plus(a: list[int], b: list[int]) -> list[int]:
@@ -453,22 +459,16 @@ def series_quotient(num: Polynomial, den: Polynomial, order: int) -> TruncatedSe
 
     den must have integer coefficients and constant term 1, else ValueError.
     Then e_m = num.den * c_m satisfies, in integers,
-    e_m = num_m - sum_{k=1..m} den_k e_{m-k}, and the series is e over num.den;
-    for den = 1 - t*x that is one multiply-add a term.
+    e_m = num_m - sum_{k=1..m} den_k e_{m-k}, and the series is e over num.den.
     """
     num._check_var(den)
     if den.den != 1 or den.nums[:1] != (1,):
         raise ValueError("series_quotient requires an integer denominator with constant term 1")
     rev = den.nums[:0:-1]
     e = list(num.nums[: order + 1]) + [0] * (order + 1 - len(num.nums))
-    if len(rev) == 1:  # den = 1 - t*x: e_m = num_m + t e_{m-1}
-        t = -rev[0]
-        for m in range(1, order + 1):
-            e[m] += t * e[m - 1]
-    else:
-        for m in range(1, order + 1):
-            k = min(m, len(rev))
-            e[m] -= sum(map(mul, rev[len(rev) - k :], e[m - k : m]))
+    for m in range(1, order + 1):
+        k = min(m, len(rev))
+        e[m] -= sum(map(mul, rev[len(rev) - k :], e[m - k : m]))
     return TruncatedSeries._over(den.var, order, e, num.den)
 
 

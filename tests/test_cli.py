@@ -149,10 +149,9 @@ def test_argument_past_maxsize_is_usage_error(capsys, argv):
     assert err == "error: cannot fit 'int' into an index-sized integer\n"
 
 
-def clear_family_caches():
-    """Drop the cached Phi_s and Phi_s/Delta_s pass, which hold whatever a mutant built."""
-    genfun.phi_s_poly.cache_clear()
-    genfun._phi_delta.cache_clear()
+def clear_family_caches(phi_s_poly=genfun.phi_s_poly):
+    """Drop the cached Phi_s, which holds whatever a mutant built; bound at import, as a mutant may wrap it."""
+    phi_s_poly.cache_clear()
 
 
 def flip_odd_selector_signs(monkeypatch):
@@ -203,6 +202,27 @@ def bump_triangle_entry(monkeypatch):
     monkeypatch.setattr(triangle, "build_triangle", bumped)
 
 
+def scale_phi(monkeypatch, by):
+    real = genfun.phi_s_poly
+    monkeypatch.setattr(genfun, "phi_s_poly", lambda s: real(s) * by)
+
+
+def bump_phi_4(monkeypatch):
+    real = genfun.phi_s_poly
+    monkeypatch.setattr(genfun, "phi_s_poly", lambda s: real(s) + Polynomial.monomial("x", 10) * int(s == 4))
+
+
+def bump_block(monkeypatch):
+    # one more x^2 in B_{2,1}(x, 2), at the pole 1-2x of u_4, whose order e is 2
+    real, bump = genfun.B_poly, Polynomial.monomial("x", 2)
+    monkeypatch.setattr(genfun, "B_poly", lambda i, k, t: real(i, k, t) + bump * int((i, k, t) == (2, 1, 2)))
+
+
+def raise_pole_order(monkeypatch):
+    real = genfun.delta_factors  # (1-x)^e becomes (1-x)^(e+1)
+    monkeypatch.setattr(genfun, "delta_factors", lambda s: tuple((c, e + (c == 1)) for c, e in real(s)))
+
+
 # Each mutant of a family or of the triangle, and the failure detail that
 # names it, in the checks that compare integer numerators.
 MUTANTS = {
@@ -223,6 +243,25 @@ MUTANTS = {
     }),
     "triangle-entry": (bump_triangle_entry, {
         "series-vs-recurrence": "P(5,2): series 28 != 29",
+    }),
+    "phi-times-two": (lambda monkeypatch: scale_phi(monkeypatch, 2), {
+        "partial-fractions": "DualPathMismatchError: Phi_1 at x^2: cleared blocks give 2 != 4",
+    }),
+    "phi-times-x": (lambda monkeypatch: scale_phi(monkeypatch, Polynomial.monomial("x", 1)), {
+        "partial-fractions": "DualPathMismatchError: Phi_1 at x^2: cleared blocks give 2 != 0",
+        "degree-claims": "deg Phi_1 wrong",
+    }),
+    "phi-4-plus-x10": (bump_phi_4, {
+        "partial-fractions": "DualPathMismatchError: Phi_4 at x^10: cleared blocks give 0 != 1",
+        "degree-claims": "deg Phi_4 wrong",
+    }),
+    "block-at-double-pole": (bump_block, {
+        "series-vs-recurrence": "P(2,4): series 1 != 0",
+    }),
+    "pole-order": (raise_pole_order, {
+        "series-vs-recurrence": "ValueError: k must be in 0..0 for i=0, got 1",
+        "partial-fractions": "ValueError: k must be in 0..0 for i=0, got 1",
+        "degree-claims": "ValueError: k must be in 0..0 for i=0, got 1",
     }),
 }
 
@@ -313,14 +352,14 @@ class TestVerify:
         assert "series-vs-recurrence" in failed or "partial-fractions" in failed
 
     def test_non_integer_series_table_is_a_verification_failure(self, capsys, monkeypatch):
-        # the series reads Phi_s from the Phi_s/Delta_s pass; a third of Phi_1 is not integral
-        real = genfun._phi_delta
+        # the series reads the blocks; a third of those of u_1 is not integral
+        real = genfun._blocks
 
-        def third_of_phi_1(s, order):
-            phi, delta = real(s, order)
-            return (phi * Fraction(1, 3) if s == 1 else phi), delta
+        def third_of_u_1(s):
+            rows, den = real(s)
+            return rows, (3 * den if s == 1 else den)
 
-        monkeypatch.setattr(genfun, "_phi_delta", third_of_phi_1)
+        monkeypatch.setattr(genfun, "_blocks", third_of_u_1)
         code, out, err = run_cli(capsys, "table", "--method", "series", "--n-max", "4")
         assert (code, out) == (1, "")
         assert err.startswith("verification failure:")

@@ -250,50 +250,48 @@ class TestUsSeries:
             u_s_series(3, 1)
 
     def test_series_triangle_names_a_non_integer_coefficient(self, monkeypatch):
-        # every P(n, s) is even, so halving Phi_1 would stay integral; a third does not.
-        # The series reads Phi_s from the Phi_s/Delta_s pass, so the pass is patched.
-        real = genfun._phi_delta
+        # every P(n, s) is even, so halving the blocks of u_1 would stay integral; a third does not.
+        # The series reads the blocks, so their common denominator is tripled.
+        real = genfun._blocks
 
-        def third_of_phi_1(s, order):
-            phi, delta = real(s, order)
-            return (phi * Fraction(1, 3) if s == 1 else phi), delta
+        def third_of_u_1(s):
+            rows, den = real(s)
+            return rows, (3 * den if s == 1 else den)
 
-        monkeypatch.setattr(genfun, "_phi_delta", third_of_phi_1)
+        monkeypatch.setattr(genfun, "_blocks", third_of_u_1)
         with pytest.raises(ArithmeticError, match="^series coefficient 2/3 is not an integer$"):
             series_triangle(4)
 
 
 class TestCutPass:
-    """The Phi_s/Delta_s pass the series reads, cut at x^order."""
+    """The pole sum the series reads, cut at x^order."""
 
-    @given(st.integers(1, 25), st.integers(2, 80))
+    @given(st.integers(1, 25), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_cut_pair_is_the_whole_pair_mod_x_to_the_order(self, s, order):
-        phi, delta = genfun._phi_delta(s, order)
-        for cut, whole in ((phi, phi_s_poly(s)), (delta, u_s_gf(s).denominator())):
-            assert cut.degree <= order
-            assert [cut.coefficient(j) for j in range(order + 1)] == [whole.coefficient(j) for j in range(order + 1)]
-
-    @given(st.integers(1, 25), st.integers(2, 80))
-    @settings(max_examples=40, deadline=None)
-    def test_series_is_the_quotient_of_the_whole_pair(self, s, order):
+    def test_series_is_the_quotient_of_the_whole_pair(self, s, data):
+        d = phi_degree(s)
+        order = data.draw(st.integers(2, 80) | st.sampled_from([max(d - 1, 2), d, d + 1]), label="order")
         assert u_s_series(s, order) == series_quotient(phi_s_poly(s), u_s_gf(s).denominator(), order)
 
+    def test_series_builds_no_phi_and_no_delta(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the series built Phi_s or Delta_s")
+
+        monkeypatch.setattr(genfun, "phi_s_poly", refuse)
+        monkeypatch.setattr(genfun, "_expand_factors", refuse)
+        series, triangle = u_s_series(20, 60), build_triangle(60)
+        assert [series.coefficient(n) for n in range(2, 61)] == [triangle.value(n, 20) for n in range(2, 61)]
+
     def test_block_mutant_fails_series_through_the_cut_pass(self, monkeypatch):
-        # deg Phi_5 = 10 > n_max = 8, so the series for s = 5 reads the cut pass;
         # one more x^2 in B_{0,0}(x, 5) adds x^2/(1-5x) to u_5, so P(2, 5) reads 1
-        assert phi_degree(5) > 8
         real = genfun.B_poly
         bump = Polynomial.monomial("x", 2)
         monkeypatch.setattr(genfun, "B_poly", lambda i, k, t: real(i, k, t) + bump * int((i, k, t) == (0, 0, 5)))
-        caches = (genfun.phi_s_poly, genfun._phi_delta)
-        for cached in caches:
-            cached.cache_clear()
+        genfun.phi_s_poly.cache_clear()
         try:
             results = {r.name: r for r in verification.run_verification(8, 5, 1, 0)}
         finally:
-            for cached in caches:  # drop what the mutant built
-                cached.cache_clear()
+            genfun.phi_s_poly.cache_clear()  # drop what the mutant built
         assert results["series-vs-recurrence"].detail == "P(2,5): series 1 != 0"
         assert not results["series-vs-recurrence"].passed
 

@@ -21,6 +21,7 @@ from runpoly.poly import (
     TruncatedSeries,
     _plus,
     _product,
+    _over_linear,
     _times_linear,
     binom_rational,
     series_quotient,
@@ -392,13 +393,20 @@ def same_terms(got, want):
 
 
 class TestListKernels:
-    @given(int_lists, small_ints, small_ints, sizes)
+    @given(int_lists, small_ints, small_ints)
     @settings(max_examples=200)
-    def test_times_linear_is_the_cut_product_by_a_linear_factor(self, p, c0, c1, size):
-        got = _times_linear(p, c0, c1, size)
+    def test_times_linear_is_the_cut_product_by_a_linear_factor(self, p, c0, c1):
+        got = _times_linear(p, c0, c1)
         want = (Polynomial("x", p) * Polynomial("x", [c0, c1])).coeffs
-        assert len(got) == len([*p, 0][:size])
-        assert same_terms(got, want[:size])
+        assert len(got) == len(p) + 1
+        assert same_terms(got, want)
+
+    @given(int_lists, small_ints)
+    @settings(max_examples=200)
+    def test_over_linear_times_the_linear_factor_gives_p_back(self, p, t):
+        got = _over_linear(p, t)
+        assert len(got) == len(p)
+        assert _times_linear(got, 1, -t)[: len(p)] == p
 
     @given(int_lists, int_lists)
     @settings(max_examples=200)

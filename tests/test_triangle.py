@@ -1,6 +1,7 @@
-"""Recurrence triangle vs the brute-force oracle."""
+"""Recurrence triangle vs the brute-force oracle, and three diagonals vs classical closed forms."""
 
 from collections import Counter
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from runpoly.bruteforce import ENUMERATION_CAP, brute_triangle, count_runs
+from runpoly.closedform import closed_row
+from runpoly.genfun import u_s_series
 from runpoly.triangle import build_triangle
 
 
@@ -109,3 +112,55 @@ class TestBuildTriangle:
     def test_agrees_with_brute_force(self):
         # overlap range n <= 8 here; the acceptance suite pushes to 10
         assert build_triangle(8).rows == brute_triangle(8).rows
+
+
+@lru_cache(maxsize=None)
+def zigzag_numbers(n_max):
+    """The Euler zigzag numbers E_0..E_n_max (OEIS A000111) by the Seidel-Entringer boustrophedon.
+
+    Each row is the running sums of the previous one read backwards, and E_n
+    ends row n: additions only, sharing nothing with the run recurrence.
+    """
+    out, row = [1], [1]
+    for _ in range(n_max):
+        sums = [0]
+        for v in reversed(row):
+            sums.append(sums[-1] + v)
+        row = sums
+        out.append(row[-1])
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _triangle_400():
+    return build_triangle(400)
+
+
+class TestClassicalDiagonals:
+    """Three diagonals with closed forms from outside the paper, against the recurrence to n = 400."""
+
+    def test_zigzag_numbers_start_as_published(self):
+        assert zigzag_numbers(10) == (1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521)
+
+    def test_one_run_is_the_two_monotone_permutations(self):
+        assert all(_triangle_400().value(n, 1) == 2 for n in range(2, 401))
+
+    def test_two_runs_rise_then_fall_or_fall_then_rise(self):
+        # each kind is 2^(n-1) - 2 permutations
+        assert all(_triangle_400().value(n, 2) == 2**n - 4 for n in range(3, 401))
+
+    def test_n_minus_one_runs_are_the_alternating_permutations(self):
+        # D. Andre (1879): P(n, n-1) = 2E_n, OEIS A001250
+        e = zigzag_numbers(400)
+        assert all(_triangle_400().value(n, n - 1) == 2 * e[n] for n in range(2, 401))
+
+    @given(st.integers(2, 150))
+    @settings(max_examples=30, deadline=None)
+    def test_closed_form_longest_sum_is_twice_the_zigzag_number(self, n):
+        assert closed_row(n, n - 1)[-1] == 2 * zigzag_numbers(150)[n]
+
+    @given(st.integers(3, 60))
+    @settings(max_examples=20, deadline=None)
+    def test_series_with_the_most_poles_is_twice_the_zigzag_number(self, n):
+        # s = n-1 is the largest s whose x^n coefficient is nonzero
+        assert u_s_series(n - 1, n).coefficient(n) == 2 * zigzag_numbers(60)[n]
