@@ -13,7 +13,7 @@ degree k+2.  The atilde coefficients are computed by two independent routes
 (closed formula and exact division + Taylor shift) which must agree.
 
 u_s is the sum of partial-fraction blocks B_{i,k}(x, s-i)/(1-(s-i)x)^(k+1),
-which _blocks takes as integer numerators over one denominator.  u_s_series
+which _blocks builds in integers, over one denominator.  u_s_series
 sums them pole by pole, one division by 1-(s-i)x a block, cut at x^order;
 phi_s_poly clears them over the common denominator Delta_s by products, to
 Phi_s, a polynomial of degree exactly 1 + ceil(s(s+2)/4).
@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .closedform import K, b_value, selector
-from .poly import Immutable, Polynomial, TruncatedSeries, _over_linear, _plus, _product, _times_linear, binom_rational, series_quotient
+from .poly import Immutable, Polynomial, TruncatedSeries, _over_lcm, _over_linear, _plus, _product, _times_linear, binom_rational, series_quotient
 from .triangle import RunCountTriangle
 
 
@@ -230,26 +230,6 @@ def delta_degree(s: int) -> int:
     return -(-s * (s + 2) // 4)  # ceil(s(s+2)/4)
 
 
-def B_poly(i: int, k: int, t: int) -> Polynomial:
-    """The partial-fraction numerator B_{i,k}(x, t), a degree-(k+2) polynomial in x.
-
-    B_{i,k}(x,t) = K(t) * PhiTilde_k(t*x) * sum_{j=k}^{floor(i/2)} g_{i,j} b_{j-k}(t),
-    the sum running over the nonzero entries of closedform.selector(i).  The
-    weight K(t) * sum g b is taken as one integer numerator over one denominator.
-    """
-    if not 0 <= k <= i // 2:
-        raise ValueError(f"k must be in 0..{i // 2} for i={i}, got {k}")
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    weight, den = 0, 1  # sum g b_{j-k}(t) = weight / den
-    for j, g in selector(i):
-        if j >= k:
-            b = b_value(j - k, t)
-            weight, den = weight * b.denominator + g * b.numerator * den, den * b.denominator
-    w, pt = K(t), phi_tilde_poly(k).scale_argument(t, new_var="x")
-    return Polynomial._over("x", [c * w.numerator * weight for c in pt.nums], pt.den * w.denominator * den)
-
-
 def phi_degree(s: int) -> int:
     return 1 + delta_degree(s)
 
@@ -257,13 +237,31 @@ def phi_degree(s: int) -> int:
 def _blocks(s: int) -> tuple[list[tuple[int, list[list[int]]]], int]:
     """Every block B_{i,k}(x, s-i) of u_s as integer numerators over one denominator den.
 
-    rows[i] = (t, [B_{i,k} for k in range(e)]) for the i-th factor (t, e) of
-    delta_factors(s), the one place the order e of the pole 1-tx is read.
+    B_{i,k}(x,t) = K(t) * PhiTilde_k(t*x) * sum_{j>=k} g_{i,j} b_{j-k}(t), the sum
+    running over closedform.selector(i).  Per pole the b_m(t) share one
+    denominator and K(t) enters as its numerator and denominator, so each
+    weight is an integer; each block is reduced by its gcd, then all are
+    brought over their lcm.  rows[i] = (t, [B_{i,k} for k in range(e)]) for
+    the i-th factor (t, e) of delta_factors(s), the one place the order e of
+    the pole 1-tx is read.
     """
-    factors = delta_factors(s)
-    blocks = [[B_poly(i, k, t) for k in range(e)] for i, (t, e) in enumerate(factors)]
-    den = lcm(*(b.den for row in blocks for b in row))
-    return [(t, [[c * (den // b.den) for c in b.nums] for b in row]) for (t, _), row in zip(factors, blocks)], den
+    blocks = []
+    for i, (t, e) in enumerate(delta_factors(s)):
+        if e > i // 2 + 1:
+            raise ValueError(f"k must be in 0..{i // 2} for i={i}, got {i // 2 + 1}")
+        w = K(t)
+        b, b_den = _over_lcm([b_value(m, t) for m in range(i // 2 + 1)])
+        row = []
+        for k in range(e):
+            pt = phi_tilde_poly(k)
+            weight = w.numerator * sum(g * b[j - k] for j, g in selector(i) if j >= k)
+            nums = [c * t**j * weight for j, c in enumerate(pt.nums)]
+            block_den = pt.den * b_den * w.denominator
+            r = gcd(block_den, *nums)
+            row.append(([c // r for c in nums], block_den // r))
+        blocks.append((t, row))
+    den = lcm(*(d for _, row in blocks for _, d in row))
+    return [(t, [[c * (den // d) for c in nums] for nums, d in row]) for t, row in blocks], den
 
 
 @lru_cache(maxsize=None)

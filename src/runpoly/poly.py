@@ -19,11 +19,11 @@ The loops over integer coefficient lists live in four kernels: _product
 1 - t*x) and _plus (sum); Polynomial and every family run on them.
 
 Only the substitutions the families need are offered: integer argument
-shifts (shift, substitute_linear) and integer argument scaling
-(scale_argument).  series_quotient is the one division by a polynomial, in
-one loop: the denominator must have integer coefficients and constant term
-1, as Delta_s, (1-z)^(k+1) and (1+z)^(k+1) have; div_exact is that series
-plus a check that its terms past the quotient are zero.
+shifts (shift, substitute_linear).  series_quotient is the one division by
+a polynomial, in one loop: the denominator must have integer coefficients
+and constant term 1, as Delta_s, (1-z)^(k+1) and (1+z)^(k+1) have;
+div_exact is that series plus a check that its terms past the quotient are
+zero.
 binom_rational takes its falling product on the integer numerator and
 denominator of the top argument and makes one Fraction, at the end.
 
@@ -233,15 +233,6 @@ class Polynomial(Immutable):
         for j, c in enumerate(reversed(self.nums)):
             acc = acc * p + c * q**j
         return Fraction(acc, self.den * q ** max(self.degree, 0))
-
-    def scale_argument(self, c: int, new_var: str | None = None) -> Polynomial:
-        """Return q with q(X) = p(c*X) for an integer c; coefficient j picks up c**j.
-
-        The result is tagged new_var when given (substituting c*x for z turns
-        a polynomial in z into one in x).
-        """
-        out = [x * c**j for j, x in enumerate(self.nums)]
-        return Polynomial._over(new_var or self.var, out, self.den)
 
     def shift(self, by: int) -> Polynomial:
         """Return p(X + by) for an integer by, in the same variable, by Horner's rule."""

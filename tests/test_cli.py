@@ -214,8 +214,15 @@ def bump_phi_4(monkeypatch):
 
 def bump_block(monkeypatch):
     # one more x^2 in B_{2,1}(x, 2), at the pole 1-2x of u_4, whose order e is 2
-    real, bump = genfun.B_poly, Polynomial.monomial("x", 2)
-    monkeypatch.setattr(genfun, "B_poly", lambda i, k, t: real(i, k, t) + bump * int((i, k, t) == (2, 1, 2)))
+    real = genfun._blocks
+
+    def bumped(s):
+        rows, den = real(s)
+        if s == 4:
+            rows[2][1][1][2] += den  # row i = 2 is the pole 1-2x, and its block k = 1
+        return rows, den
+
+    monkeypatch.setattr(genfun, "_blocks", bumped)
 
 
 def raise_pole_order(monkeypatch):

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from golden_tables import PHI_ROWS, phi_row_poly
 from runpoly import genfun, verification
-from runpoly.closedform import a_value, p_closed_form
+from runpoly.closedform import K, a_value, b_value, p_closed_form, selector
 from runpoly.genfun import (
     A_k_gf,
-    B_poly,
     DegreeMismatchError,
     DualPathMismatchError,
     RationalGF,
@@ -169,14 +168,25 @@ class TestDelta:
 
 class TestPartialFractionBlocks:
     def test_hand_values(self):
-        assert B_poly(0, 0, 1) == Polynomial("x", [0, 0, 2])
-        assert B_poly(1, 0, 2) == Polynomial("x", [0, 0, -8])
+        # B_{0,0}(x, 1) = 2x^2 is row 0 of u_1's blocks, B_{1,0}(x, 2) = -8x^2 row 1 of u_3's
+        for s, i, want in ((1, 0, [0, 0, 2]), (3, 1, [0, 0, -8])):
+            rows, den = genfun._blocks(s)
+            assert [Fraction(c, den) for c in rows[i][1][0]] == want
 
-    def test_rejects_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            B_poly(2, 2, 1)
-        with pytest.raises(ValueError):
-            B_poly(3, 0, 0)
+    @given(st.integers(1, 30))
+    @settings(max_examples=30, deadline=None)
+    def test_every_block_is_its_weighted_phi_tilde(self, s):
+        # B_{i,k}(x,t) = K(t) sum_{j>=k} g_{i,j} b_{j-k}(t) PhiTilde_k(t x), summed in Fractions
+        rows, den = genfun._blocks(s)
+        assert [(t, len(row)) for t, row in rows] == list(delta_factors(s))
+        want_den = 1
+        for i, (t, row) in enumerate(rows):
+            for k, nums in enumerate(row):
+                weight = K(t) * sum(g * b_value(j - k, t) for j, g in selector(i) if j >= k)
+                want = [weight * c * t**j for j, c in enumerate(phi_tilde_poly(k).coeffs)]
+                assert [Fraction(c, den) for c in nums] == want, (s, i, k)
+                want_den = lcm(want_den, *(c.denominator for c in want))
+        assert den == want_den  # every block reduced before the common denominator
 
 
 class TestPhiS:
@@ -284,9 +294,15 @@ class TestCutPass:
 
     def test_block_mutant_fails_series_through_the_cut_pass(self, monkeypatch):
         # one more x^2 in B_{0,0}(x, 5) adds x^2/(1-5x) to u_5, so P(2, 5) reads 1
-        real = genfun.B_poly
-        bump = Polynomial.monomial("x", 2)
-        monkeypatch.setattr(genfun, "B_poly", lambda i, k, t: real(i, k, t) + bump * int((i, k, t) == (0, 0, 5)))
+        real = genfun._blocks
+
+        def bumped(s):
+            rows, den = real(s)
+            if s == 5:
+                rows[0][1][0][2] += den  # B_{0,0}(x, 5) is the first block of u_5
+            return rows, den
+
+        monkeypatch.setattr(genfun, "_blocks", bumped)
         genfun.phi_s_poly.cache_clear()
         try:
             results = {r.name: r for r in verification.run_verification(8, 5, 1, 0)}

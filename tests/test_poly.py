@@ -116,22 +116,6 @@ class TestPolynomialBasics:
         assert Polynomial("x", [0, 0, 2]).evaluate(Fraction(1, 2)) == Fraction(1, 2)
 
 
-class TestScaleArgument:
-    def test_identity_scale(self):
-        p = Polynomial("x", [1, 2, 3])
-        assert p.scale_argument(1) == p
-
-    def test_square_scaled_by_three(self):
-        p = Polynomial("z", [0, 0, 1]).scale_argument(3, new_var="x")
-        assert p == Polynomial("x", [0, 0, 9])
-
-    def test_retag_variable(self):
-        # z^2 with argument 2x becomes 4x^2
-        p = Polynomial("z", [0, 0, 1]).scale_argument(2, new_var="x")
-        assert p.var == "x"
-        assert p.coeffs == (0, 0, 4)
-
-
 class TestAgainstEvaluation:
     """The integer loops checked pointwise: evaluation is Horner's rule on Fractions."""
 
@@ -151,7 +135,6 @@ class TestAgainstEvaluation:
     @settings(max_examples=100)
     def test_scalar_multiples(self, p, c, k, a):
         assert (p * c).evaluate(a) == c * p.evaluate(a)
-        assert p.scale_argument(k).evaluate(a) == p.evaluate(k * a)
         assert p.shift(k).evaluate(a) == p.evaluate(a + k)
         assert p.shift(k).shift(-k) == p
 
@@ -159,8 +142,7 @@ class TestAgainstEvaluation:
     def test_non_integer_shift_or_scale_rejected(self, by):
         p = Polynomial("x", [1, 1])
         b = BivariatePolynomial(("n", "s"), {(1, 1): 1})
-        for substitute in (p.shift, p.scale_argument, lambda by: b.substitute_linear(0, by),
-                           lambda by: b.substitute_linear(1, by)):
+        for substitute in (p.shift, lambda by: b.substitute_linear(0, by), lambda by: b.substitute_linear(1, by)):
             with pytest.raises(TypeError):
                 substitute(by)
 
@@ -249,7 +231,7 @@ class TestNormalForm:
         assert (p.nums, p.den) == ((1, 2), 2)
         assert p == q and hash(p) == hash(q)
         b = BivariatePolynomial(("n", "s"), {(0, 0): Fraction(2, 4), (1, 0): Fraction(3, 3)})
-        c = BivariatePolynomial.from_univariate(q.scale_argument(1, new_var="n"), 0, ("n", "s"))
+        c = BivariatePolynomial.from_univariate(Polynomial("n", q.coeffs), 0, ("n", "s"))
         assert (b.nums, b.den) == ({(0, 0): 1, (1, 0): 2}, 2)
         assert b == c and hash(b) == hash(c)
 

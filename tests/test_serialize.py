@@ -272,6 +272,22 @@ class TestCountsPastTheDigitLimit:
         assert repr(self.HUGE) == "RunCountTriangle(n_max=3, 2 rows)"
 
     @pytest.mark.parametrize("fmt", ["json", "tsv", "latex"])
+    def test_an_interpreter_without_the_limit_writes_the_same_text(self, monkeypatch, fmt):
+        # Python 3.10.0-3.10.6 have no sys.get_int_max_str_digits, so the limit is left alone
+        def refuse(limit):
+            raise AssertionError("set a digit limit the interpreter does not have")
+
+        params = {"method": "recurrence"} if fmt == "json" else {}
+        tri = build_triangle(12)
+        want = "".join(encode("triangle", fmt, tri, **params))
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+        text = "".join(encode("triangle", fmt, tri, **params))
+        assert text == want
+        if fmt == "json":
+            assert doc_to_triangle(json.loads(text)) == tri
+
+    @pytest.mark.parametrize("fmt", ["json", "tsv", "latex"])
     def test_limit_is_not_held_across_a_chunk(self, fmt):
         params = {"method": "recurrence"} if fmt == "json" else {}
         chunks = encode("triangle", fmt, self.HUGE, **params)
