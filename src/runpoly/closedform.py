@@ -16,16 +16,6 @@ The weight psi_i(n, s) factors as K(s-i) * Q_i(n, s) with K(s) = 2^(2-s);
 the non-polynomial prefactor K is kept out of every stored object and only
 reattached at evaluation time, which is also how the polynomials are usually
 displayed.  Q_i has degree exactly floor(i/2) in n.
-
-Counts are evaluated a row at a time (closed_row): a_k(n), b_m(t), p_j(n, t)
-and K(t) t^n do not depend on s, so each is formed once per row.
-
-closed_row and phi_generating_series share one integer convolution,
-_p_numerators: the a_k(n) (from _a_numerators) and the b_m(t) are brought
-over one denominator each, and p_j(n, t) is their cut poly._product over
-the product of the two.  It reads a_value and b_value only, never phi_polys
-or the recurrence, so the checks built on it stay independent of both.
-a_poly and b_poly multiply their linear factors out by poly._times_linear.
 """
 
 from __future__ import annotations
@@ -52,11 +42,11 @@ def K(s: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def a_poly(k: int) -> Polynomial:
-    """a_k(n) = (-1)^k binom((n-3)/2, k) = prod_{j<k} (n-3-2j) / ((-2)^k k!), degree k in n."""
+    """a_k(n) = (-1)^k binom((n-3)/2, k) = prod_{j<k} (3+2j-n) / (2^k k!), degree k in n."""
     nums = [1]
     for j in range(k):
-        nums = _times_linear(nums, -3 - 2 * j, 1)
-    return Polynomial._over("n", nums, (-2) ** k * factorial(k))
+        nums = _times_linear(nums, 3 + 2 * j, -1)
+    return Polynomial._over("n", nums, 2**k * factorial(k))
 
 
 def a_value(k: int, n: int) -> Fraction:

@@ -7,21 +7,14 @@ prod (1 - c*x)^e:
     u_s(x) = Phi_s(x) / Delta_s(x)         = sum_{n>=2} P(n,s) x^n
 
 A_k is obtained from the degree-(2k+1) polynomial ATilde_k(z), which carries
-a (1+z)^(k+1) factor; dividing it out and re-expanding around z = -1 gives
-the Taylor coefficients atilde_k(p) and the reduced numerator PhiTilde_k of
-degree k+2.  The atilde coefficients are computed by two independent routes
-(closed formula and exact division + Taylor shift) which must agree.
+a (1+z)^(k+1) factor; one Taylor shift to z = -1 shows the factor and gives
+the coefficients atilde_k(p) of the reduced numerator PhiTilde_k, of degree
+k+2.  The atilde coefficients are computed by two independent routes
+(closed formula and that Taylor shift) which must agree.
 
-u_s is the sum of partial-fraction blocks B_{i,k}(x, s-i)/(1-(s-i)x)^(k+1),
-which _blocks builds in integers, over one denominator.  u_s_series
-sums them pole by pole, one division by 1-(s-i)x a block, cut at x^order;
-phi_s_poly clears them over the common denominator Delta_s by products, to
-Phi_s, a polynomial of degree exactly 1 + ceil(s(s+2)/4).
-check_partial_fractions ties the two: the series times Delta_s, from
-RationalGF.denominator(), is Phi_s, and since every block has degree k+2 a
-cut just past deg Delta_s + 1 is exact.  A factored denominator
-prod (1 - c*x)^e has integer parameters c, as series_quotient needs.  Every
-list pass here is a poly kernel: _times_linear, _over_linear, _plus, _product.
+u_s is the sum of the partial-fraction blocks B_{i,k}(x, s-i)/(1-(s-i)x)^(k+1).
+Every denominator here is a product of linear factors 1 - c*x with integer
+c, and nothing is divided by anything else.
 """
 
 from __future__ import annotations
@@ -31,7 +24,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .closedform import K, b_value, selector
-from .poly import Immutable, Polynomial, TruncatedSeries, _over_lcm, _over_linear, _plus, _product, _times_linear, binom_rational, series_quotient
+from .poly import Immutable, Polynomial, TruncatedSeries, _over_lcm, _over_linear, _plus, _product, _times_linear, binom_rational
 from .triangle import RunCountTriangle
 
 
@@ -41,6 +34,10 @@ class DegreeMismatchError(ArithmeticError):
 
 class DualPathMismatchError(ArithmeticError):
     """Two independent computations of the same quantity disagree."""
+
+
+class NonzeroRemainderError(ArithmeticError):
+    """A factor the paper proves divides a polynomial left a nonzero remainder."""
 
 
 @lru_cache(maxsize=None)
@@ -83,7 +80,13 @@ class RationalGF(Immutable):
         return _expand_factors(self.numerator.var, self.denominator_factors)
 
     def series(self, order: int) -> TruncatedSeries:
-        return series_quotient(self.numerator, self.denominator(), order)
+        """The series up to x^order: the numerator's numerators, e passes of _over_linear a factor (c, e)."""
+        nums = list(self.numerator.nums[: order + 1])
+        nums += [0] * (order + 1 - len(nums))
+        for c, e in self.denominator_factors:
+            for _ in range(e):
+                nums = _over_linear(nums, c)
+        return TruncatedSeries._over(self.numerator.var, order, nums, self.numerator.den)
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +139,6 @@ def verify_wz_sum(k: int) -> bool:
     return total == 4**k * odd
 
 
-def _one_plus_z(e: int) -> Polynomial:
-    return _expand_factors("z", ((-1, e),))  # (1 - (-1)z)^e
-
-
 def _atilde_coeffs_formula(k: int) -> Polynomial:
     """sum_p atilde_k(p) z^p for p = 0..k from the closed formula.
 
@@ -159,25 +158,34 @@ def _atilde_coeffs_formula(k: int) -> Polynomial:
     return Polynomial._over("z", nums, den)
 
 
-def _atilde_coeffs_division(k: int) -> Polynomial:
-    """sum_p atilde_k(p) z^p by dividing out (1+z)^(k+1) and Taylor-shifting to z = -1."""
-    quotient = atilde_poly(k).div_exact(_one_plus_z(k + 1))
-    return quotient.shift(-1) * (-1) ** k  # coefficients in powers of (1+z)
+def atilde_shift_coeffs(k: int) -> Polynomial:
+    """sum_p atilde_k(p) z^p from one Taylor shift of ATilde_k to z = -1, with no division.
+
+    ATilde_k(z) = (-1)^k (1+z)^(k+1) sum_p atilde_k(p) (1+z)^p, so in powers
+    of (1+z) its terms below (1+z)^(k+1) are the remainder of dividing by
+    (1+z)^(k+1): NonzeroRemainderError names the first nonzero one.  (-1)^k
+    times the rest are the atilde_k(p).
+    """
+    shifted = atilde_poly(k).shift(-1)  # coefficients in powers of (1+z)
+    j = next((j for j, c in enumerate(shifted.nums[: k + 1]) if c), None)
+    if j is not None:
+        raise NonzeroRemainderError(f"remainder has {shifted.coefficient(j)} at (1+z)^{j}")
+    return Polynomial._over("z", [(-1) ** k * c for c in shifted.nums[k + 1 :]], shifted.den)
 
 
 @lru_cache(maxsize=None)
 def atilde_taylor_coeffs(k: int) -> tuple[Fraction, ...]:
     """The coefficients atilde_k(0..k), computed by both routes and compared.
 
-    Raises DualPathMismatchError if the closed formula and the
-    division/Taylor-shift route disagree anywhere.
+    Raises DualPathMismatchError if the closed formula and the Taylor-shift
+    route disagree anywhere.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     formula = _atilde_coeffs_formula(k)
-    division = _atilde_coeffs_division(k)
-    if formula != division:
-        paths = [[route.coefficient(j) for j in range(k + 1)] for route in (formula, division)]
+    shifted = atilde_shift_coeffs(k)
+    if formula != shifted:
+        paths = [[route.coefficient(j) for j in range(k + 1)] for route in (formula, shifted)]
         raise DualPathMismatchError(
             f"atilde coefficient paths disagree at k={k}: {paths[0]} vs {paths[1]}"
         )
@@ -198,7 +206,7 @@ def phi_tilde_poly(k: int) -> Polynomial:
         raise DegreeMismatchError(f"deg ATilde_{k} = {atilde.degree}, expected {2 * k + 1}")
 
     reduced = Polynomial("z", atilde_taylor_coeffs(k)).shift(1)
-    if reduced * _one_plus_z(k + 1) * (-1) ** k != atilde:
+    if reduced * _expand_factors("z", ((-1, k + 1),)) * (-1) ** k != atilde:  # (1+z)^(k+1)
         raise DualPathMismatchError(f"ATilde_{k} reconstruction from taylor coefficients failed")
 
     phi_tilde = Polynomial.monomial("z", 2) * reduced

@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic and series division over the rationals.
+"""Exact polynomial arithmetic over the rationals.
 
 No floating point enters any computation.  A polynomial is stored as integer
 numerators over one denominator, kept reduced: den > 0, gcd(den, *nums) == 1,
@@ -19,11 +19,9 @@ The loops over integer coefficient lists live in four kernels: _product
 1 - t*x) and _plus (sum); Polynomial and every family run on them.
 
 Only the substitutions the families need are offered: integer argument
-shifts (shift, substitute_linear).  series_quotient is the one division by
-a polynomial, in one loop: the denominator must have integer coefficients
-and constant term 1, as Delta_s, (1-z)^(k+1) and (1+z)^(k+1) have;
-div_exact is that series plus a check that its terms past the quotient are
-zero.
+shifts (shift, substitute_linear).  No polynomial is divided by another:
+every denominator in the families is a product of linear factors 1 - t*x,
+and _over_linear is the one division.
 binom_rational takes its falling product on the integer numerator and
 denominator of the top argument and makes one Fraction, at the end.
 
@@ -35,12 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import factorial, gcd, lcm
-from operator import mul
 from typing import Iterable, Mapping
-
-
-class NonzeroRemainderError(ArithmeticError):
-    """Exact polynomial division left a nonzero remainder."""
 
 
 def _ratio(value) -> tuple[int, int]:
@@ -141,7 +134,7 @@ class Polynomial(Immutable):
     def _set(self, var: str, nums: list[int], den: int) -> Polynomial:
         while nums and not nums[-1]:
             nums.pop()
-        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        g = gcd(den, *nums)
         if g != 1:
             nums = [c // g for c in nums]
             den //= g
@@ -152,7 +145,7 @@ class Polynomial(Immutable):
 
     @classmethod
     def _over(cls, var: str, nums: list[int], den: int) -> Polynomial:
-        """The polynomial with coefficients nums[j] / den, reduced; nums is consumed."""
+        """The polynomial with coefficients nums[j] / den, reduced; den > 0, and nums is consumed."""
         return object.__new__(cls)._set(var, nums, den)
 
     @classmethod
@@ -241,22 +234,6 @@ class Polynomial(Immutable):
             out = _plus(_times_linear(out, by, 1), [c])
         return Polynomial._over(self.var, out, self.den)
 
-    def div_exact(self, d: Polynomial) -> Polynomial:
-        """Return q with self = q*d exactly; d needs integer coefficients and constant term 1.
-
-        q is the first deg self - deg d + 1 terms of series_quotient(self, d,
-        deg self), and d divides self exactly when the later terms are zero.
-        Else NonzeroRemainderError names the first nonzero one, the lowest term
-        of self - q*d as d(0) = 1: a broken identity, not a recoverable state.
-        Any other divisor, zero included, raises series_quotient's ValueError.
-        """
-        series = series_quotient(self, d, max(self.degree, 0))
-        split = max(self.degree - d.degree + 1, 0)
-        j = next((j for j in range(split, series.order + 1) if series.nums[j]), None)
-        if j is not None:
-            raise NonzeroRemainderError(f"remainder has {series.coefficient(j)} at {self.var}^{j}")
-        return Polynomial._over(self.var, list(series.nums[:split]), series.den)
-
 
 class BivariatePolynomial(Immutable):
     """Sparse exact polynomial in two tagged variables.
@@ -279,7 +256,7 @@ class BivariatePolynomial(Immutable):
 
     def _set(self, vars: tuple[str, str], nums: dict, den: int) -> BivariatePolynomial:
         nums = {e: c for e, c in nums.items() if c}
-        g = gcd(den, *nums.values()) if den > 0 else -gcd(den, *nums.values())
+        g = gcd(den, *nums.values())
         if g != 1:
             nums = {e: c // g for e, c in nums.items()}
             den //= g
@@ -290,7 +267,7 @@ class BivariatePolynomial(Immutable):
 
     @classmethod
     def _over(cls, vars: tuple[str, str], nums: Mapping, den: int) -> BivariatePolynomial:
-        """The polynomial with terms nums[e] / den for integer nums, reduced."""
+        """The polynomial with terms nums[e] / den for integer nums and den > 0, reduced."""
         return object.__new__(cls)._set(vars, nums, den)
 
     @classmethod
@@ -443,24 +420,6 @@ class TruncatedSeries(Immutable):
         if j < 0:
             return Fraction(0)
         return Fraction(self.nums[j], self.den)
-
-
-def series_quotient(num: Polynomial, den: Polynomial, order: int) -> TruncatedSeries:
-    """Expand num/den as a truncated series.
-
-    den must have integer coefficients and constant term 1, else ValueError.
-    Then e_m = num.den * c_m satisfies, in integers,
-    e_m = num_m - sum_{k=1..m} den_k e_{m-k}, and the series is e over num.den.
-    """
-    num._check_var(den)
-    if den.den != 1 or den.nums[:1] != (1,):
-        raise ValueError("series_quotient requires an integer denominator with constant term 1")
-    rev = den.nums[:0:-1]
-    e = list(num.nums[: order + 1]) + [0] * (order + 1 - len(num.nums))
-    for m in range(1, order + 1):
-        k = min(m, len(rev))
-        e[m] -= sum(map(mul, rev[len(rev) - k :], e[m - k : m]))
-    return TruncatedSeries._over(den.var, order, e, num.den)
 
 
 def binom_rational(top, k: int) -> Fraction:

@@ -15,18 +15,9 @@ K(s-i) prefactor symbolic and pull the coefficients over a common
 denominator; Phi rows factor the content and the leading power of x out of
 the integer numerators, and a Phi over a denominator ends in /den.
 
-ENCODERS at the bottom holds the one encoder for each (document kind,
-format) pair the CLI prints; `encode` looks them up.  Every encoder returns
-its text as an iterable of chunks that join to the document: a triangle
-comes a row at a time, so its tens of megabytes of text never sit in memory
-at once.  The triangle and psi json are written directly in the layout of
-json.dumps(doc, indent=2).  A triangle encoder reads only `n_max` and
-iterates `rows` once, so it serves a `RunCountTriangle` and the CLI's
-recurrence table alike, whose rows are exact integral `Decimal`s made as
-they are read; it only calls str() on the counts.  Decoders raise
-ValueError, and only ValueError, on a malformed document.  They accept
-ASCII digits only (int() would take any script's digits), and a count is
-bare digits: no sign, "_" or space.
+Decoders raise ValueError, and only ValueError, on a malformed document.
+They accept ASCII digits only (int() would take any script's digits), and a
+count is bare digits: no sign, "_" or space.
 """
 
 from __future__ import annotations

@@ -149,9 +149,13 @@ def test_argument_past_maxsize_is_usage_error(capsys, argv):
     assert err == "error: cannot fit 'int' into an index-sized integer\n"
 
 
-def clear_family_caches(phi_s_poly=genfun.phi_s_poly):
-    """Drop the cached Phi_s, which holds whatever a mutant built; bound at import, as a mutant may wrap it."""
-    phi_s_poly.cache_clear()
+def clear_family_caches(caches=(genfun.phi_s_poly, genfun.phi_tilde_poly, genfun.atilde_taylor_coeffs)):
+    """Drop the cached Phi_s, PhiTilde_k and atilde_k(p), which hold whatever a mutant built.
+
+    They are bound at import, as a mutant may wrap them.
+    """
+    for cached in caches:
+        cached.cache_clear()
 
 
 def flip_odd_selector_signs(monkeypatch):
@@ -225,6 +229,11 @@ def bump_block(monkeypatch):
     monkeypatch.setattr(genfun, "_blocks", bumped)
 
 
+def bump_atilde(monkeypatch):
+    real = genfun.atilde_poly  # ATilde_1 + 1, which (1+z)^2 no longer divides
+    monkeypatch.setattr(genfun, "atilde_poly", lambda k: real(k) + int(k == 1))
+
+
 def raise_pole_order(monkeypatch):
     real = genfun.delta_factors  # (1-x)^e becomes (1-x)^(e+1)
     monkeypatch.setattr(genfun, "delta_factors", lambda s: tuple((c, e + (c == 1)) for c, e in real(s)))
@@ -269,6 +278,11 @@ MUTANTS = {
         "series-vs-recurrence": "ValueError: k must be in 0..0 for i=0, got 1",
         "partial-fractions": "ValueError: k must be in 0..0 for i=0, got 1",
         "degree-claims": "ValueError: k must be in 0..0 for i=0, got 1",
+    }),
+    "atilde-not-divisible": (bump_atilde, {
+        name: "NonzeroRemainderError: remainder has 1 at (1+z)^0"
+        for name in ("series-vs-recurrence", "atilde-divisibility", "atilde-dual-path",
+                     "a-k-series", "partial-fractions", "degree-claims")
     }),
 }
 

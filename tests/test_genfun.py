@@ -13,8 +13,10 @@ from runpoly.genfun import (
     A_k_gf,
     DegreeMismatchError,
     DualPathMismatchError,
+    NonzeroRemainderError,
     RationalGF,
     atilde_poly,
+    atilde_shift_coeffs,
     atilde_taylor_coeffs,
     check_partial_fractions,
     delta_degree,
@@ -27,7 +29,7 @@ from runpoly.genfun import (
     u_s_series,
     verify_wz_sum,
 )
-from runpoly.poly import NonzeroRemainderError, Polynomial, binom_rational, series_quotient
+from runpoly.poly import Polynomial, binom_rational
 from runpoly.triangle import build_triangle
 
 
@@ -75,17 +77,21 @@ class TestAtilde:
         assert atilde_poly(1) == Polynomial("z", [Fraction(-1, 2), 0, Fraction(3, 2), 1])
 
     def test_degree_and_divisibility(self):
-        one_plus_z = Polynomial("z", [1, 1])
         for k in range(31):
-            p = atilde_poly(k)
-            assert p.degree == 2 * k + 1
-            # must divide exactly; a nonzero remainder raises
-            p.div_exact(one_plus_z** (k + 1))
+            assert atilde_poly(k).degree == 2 * k + 1
+            # (1+z)^(k+1) must divide; a nonzero remainder raises
+            assert atilde_shift_coeffs(k).degree == k, k
 
     def test_divisibility_is_sharp(self):
-        # one more factor of (1+z) does not divide
-        with pytest.raises(NonzeroRemainderError):
-            atilde_poly(3).div_exact(Polynomial("z", [1, 1]) ** 5)
+        # one more factor of (1+z) does not divide: the (1+z)^(k+1) coefficient is nonzero
+        for k in range(31):
+            assert atilde_poly(k).shift(-1).coefficient(k + 1) != 0, k
+
+    def test_remainder_is_named(self, monkeypatch):
+        real = genfun.atilde_poly
+        monkeypatch.setattr(genfun, "atilde_poly", lambda k: real(k) + Polynomial("z", [1, 2, 1]) * int(k == 3))
+        with pytest.raises(NonzeroRemainderError, match=r"^remainder has 1 at \(1\+z\)\^2$"):
+            atilde_shift_coeffs(3)
 
     def test_wz_normalization_sum(self):
         for k in range(31):
@@ -115,8 +121,8 @@ class TestAtilde:
     def test_phi_tilde_is_reduced_atilde(self):
         one_plus_z = Polynomial("z", [1, 1])
         for k in range(31):
-            reduced = atilde_poly(k).div_exact(one_plus_z ** (k + 1))
-            assert phi_tilde_poly(k) == Polynomial.monomial("z", 2) * reduced * (-1) ** k, f"k={k}"
+            want = Polynomial.monomial("z", 2) * atilde_poly(k) * (-1) ** k
+            assert phi_tilde_poly(k) * one_plus_z ** (k + 1) == want, f"k={k}"
 
     def test_bad_taylor_coefficient_fails_reconstruction(self, monkeypatch):
         real = genfun.atilde_taylor_coeffs
@@ -281,7 +287,7 @@ class TestCutPass:
     def test_series_is_the_quotient_of_the_whole_pair(self, s, data):
         d = phi_degree(s)
         order = data.draw(st.integers(2, 80) | st.sampled_from([max(d - 1, 2), d, d + 1]), label="order")
-        assert u_s_series(s, order) == series_quotient(phi_s_poly(s), u_s_gf(s).denominator(), order)
+        assert u_s_series(s, order) == u_s_gf(s).series(order)
 
     def test_series_builds_no_phi_and_no_delta(self, monkeypatch):
         def refuse(*args):

@@ -1,22 +1,21 @@
 """Exact-core tests: polynomial ring arithmetic, series, binomials, and immutable values."""
 
+import ast
 from fractions import Fraction
 from itertools import zip_longest
 from math import factorial, gcd
 from pathlib import Path
 
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import runpoly
 from runpoly.cli import OutputDocument
-from runpoly.closedform import PsiPolynomial, psi_polys
-from runpoly.genfun import u_s_gf
+from runpoly.closedform import PsiPolynomial, a_poly, psi_polys
+from runpoly.genfun import RationalGF, u_s_gf
 from runpoly.poly import (
     BivariatePolynomial,
-    NonzeroRemainderError,
     Polynomial,
     TruncatedSeries,
     _plus,
@@ -24,7 +23,6 @@ from runpoly.poly import (
     _over_linear,
     _times_linear,
     binom_rational,
-    series_quotient,
 )
 from runpoly.recurrences import IdentityReport, verify_psi_recurrence
 from runpoly.triangle import build_triangle
@@ -40,9 +38,9 @@ def polys(var="x", max_deg=5):
     return st.lists(coefficients, max_size=max_deg + 1).map(lambda cs: Polynomial(var, cs))
 
 
-def divisors(var="x", max_deg=4):
-    """Divisors div_exact takes: integer coefficients and constant term 1."""
-    return st.lists(small_ints, max_size=max_deg).map(lambda tail: Polynomial(var, [1, *tail]))
+def linear_factors(max_factors=3):
+    """Factors (c, e) of a RationalGF denominator prod (1 - c*x)^e: integer c, distinct, and e >= 1."""
+    return st.lists(st.tuples(small_ints, st.integers(1, 3)), max_size=max_factors, unique_by=lambda f: f[0])
 
 
 def bipolys(vars=("n", "s"), max_deg=3):
@@ -102,8 +100,6 @@ class TestPolynomialBasics:
             Polynomial("x", [1]) + Polynomial("z", [1])
         with pytest.raises(ValueError):
             Polynomial("x", [1]) * Polynomial("n", [1])
-        with pytest.raises(ValueError):
-            series_quotient(Polynomial("x", [1]), Polynomial("z", [1]), 3)
 
     def test_eval_root(self):
         assert Polynomial("x", [1, -1]).evaluate(1) == 0
@@ -148,6 +144,11 @@ class TestAgainstEvaluation:
 
 
 class TestNormalForm:
+    def test_a_poly_is_reduced(self):
+        # a_k(n)'s linear factors (3+2j-n) keep its den 2^k k! positive
+        for k in range(21):
+            assert_reduced(a_poly(k))
+
     def test_cancelling_sum_of_products_is_zero(self):
         p = Polynomial("x", [1, 1]) * Polynomial("x", [-1, 1]) + Polynomial("x", [1, 0, -1])
         assert p == Polynomial("x")
@@ -185,9 +186,9 @@ class TestNormalForm:
         padded = [0, *p.coeffs] + [0] * (len(cs) + 1 - len(p.coeffs))
         assert [p.coefficient(j) for j in range(-1, len(cs) + 1)] == padded
 
-    @given(polys(), polys(), small_fractions, divisors())
+    @given(polys(), polys(), small_fractions)
     @settings(max_examples=100)
-    def test_results_are_reduced(self, p, q, c, d):
+    def test_results_are_reduced(self, p, q, c):
         total, product = p + q, p * q
         for r in (total, product, p * c, p + c):
             assert_reduced(r)
@@ -197,9 +198,6 @@ class TestNormalForm:
             for j, b in enumerate(q.coeffs):
                 want[i + j] += a * b
         assert product.coeffs == stripped(want)
-        quotient = (p * d).div_exact(d)
-        assert_reduced(quotient)
-        assert quotient.coeffs == p.coeffs
 
     @given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), coefficients, max_size=6))
     @settings(max_examples=100)
@@ -247,51 +245,19 @@ class TestNormalForm:
 
 
 class TestDivExact:
-    def test_difference_of_squares_quotient(self):
-        p = Polynomial("x", [1, 0, -1])
-        d = Polynomial("x", [1, -1])
-        assert p.div_exact(d) == Polynomial("x", [1, 1])
+    """The one exact division left is _over_linear, the series over 1 - t*x: a product divided by its factors has no tail."""
 
-    def test_nonzero_remainder_raises(self):
-        # 1 + x = 1 * (1 - x) + 2x: the series quotient is 1, the remainder 2x
-        with pytest.raises(NonzeroRemainderError, match=r"remainder has 2 at x\^1"):
-            Polynomial("x", [1, 1]).div_exact(Polynomial("x", [1, -1]))
-
-    def test_zero_divisor_rejected(self):
-        with pytest.raises(ValueError, match="integer denominator with constant term 1"):
-            Polynomial("x", [1]).div_exact(Polynomial("x"))
-
-    def test_non_monic_rational_divisor(self):
-        # 2 - 3x, 1 + x/2 and x are rejected whether or not they divide
-        for d in (Polynomial("x", [2, -3]), Polynomial("x", [1, Fraction(1, 2)]), Polynomial("x", [0, 1])):
-            for p in (d * Polynomial("x", [Fraction(1, 2), Fraction(1, 3)]), Polynomial("x", [1])):
-                with pytest.raises(ValueError, match="integer denominator with constant term 1"):
-                    p.div_exact(d)
-
-    @given(polys(), divisors())
+    @given(polys(), linear_factors())
     @settings(max_examples=100)
-    def test_mul_then_div_roundtrip(self, q, d):
-        assert (q * d).div_exact(d) == q
-
-    @given(polys(max_deg=3), divisors(), st.one_of(st.just(Polynomial("x")), polys(max_deg=6)))
-    @settings(max_examples=100)
-    def test_agrees_with_sympy_div(self, q, d, r):
-        x = sympy.Symbol("x")
-
-        def to_sympy(poly):
-            expr = sum(sympy.Rational(c.numerator, c.denominator) * x**j for j, c in enumerate(poly.coeffs))
-            return sympy.Poly(expr, x, domain=sympy.QQ)
-
-        p = q * d + r  # r is often zero, so both of sympy's outcomes are drawn
-        want, rem = sympy.div(to_sympy(p), to_sympy(d), domain=sympy.QQ)
-        if rem.is_zero:
-            coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(want.all_coeffs())]
-            assert p.div_exact(d) == Polynomial("x", coeffs)
-        else:
-            with pytest.raises(NonzeroRemainderError, match=r"at x\^(\d+)$") as err:
-                p.div_exact(d)
-            power = int(err.value.args[0].rsplit("^", 1)[1])
-            assert p.degree - d.degree < power <= p.degree
+    def test_mul_then_div_roundtrip(self, q, factors):
+        nums = list(q.nums)
+        for c, e in factors:
+            for _ in range(e):
+                nums = _times_linear(nums, 1, -c)
+        for c, e in reversed(factors):
+            for _ in range(e):
+                nums = _over_linear(nums, c)
+        assert nums == [*q.nums] + [0] * (len(nums) - len(q.nums))
 
 
 class TestRingAxioms:
@@ -460,57 +426,65 @@ def test_only_poly_binds_fields_with_object_setattr():
     assert users == ["poly.py"]
 
 
+def test_every_imported_name_is_read():
+    # a name a module imports and never reads is left over from a deletion; __all__ counts as a read
+    unread = []
+    for path in sorted(Path(runpoly.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                names = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+                unread += [f"{path.name}:{node.lineno} {name}" for name in names if name not in read]
+    assert unread == []
+
+
+def series(num, factors, order):
+    """num / prod (1 - c*x)^e over the (c, e) factors, to x^order."""
+    return RationalGF(Polynomial("x", num), factors).series(order)
+
+
 class TestTruncatedSeries:
     def test_geometric_series(self):
-        s = series_quotient(Polynomial("x", [1]), Polynomial("x", [1, -1]), 4)
-        assert s.coeffs == (1, 1, 1, 1, 1)
+        assert series([1], [(1, 1)], 4).coeffs == (1, 1, 1, 1, 1)
 
     def test_geometric_series_ratio_two(self):
-        s = series_quotient(Polynomial("x", [1]), Polynomial("x", [1, -2]), 3)
-        assert s.coeffs == (1, 2, 4, 8)
+        assert series([1], [(2, 1)], 3).coeffs == (1, 2, 4, 8)
 
     def test_reciprocal_of_delta2(self):
         # 1/((1-2x)(1-x)): convolution of the two geometric series by hand
         # gives partial sums 1, 1+2, 1+2+4, 1+2+4+8.
-        p = Polynomial("x", [1, -2]) * Polynomial("x", [1, -1])
-        s = series_quotient(Polynomial("x", [1]), p, 3)
-        assert s.coeffs == (1, 3, 7, 15)
-
-    def test_rational_denominator(self):
-        # 1 - x/2 and 1 + x/2 have constant term 1 but are rejected all the same
-        for den in ([1, Fraction(-1, 2)], [1, Fraction(1, 2)], [Fraction(1, 2)]):
-            with pytest.raises(ValueError, match="integer denominator"):
-                series_quotient(Polynomial("x", [1]), Polynomial("x", den), 5)
+        assert series([1], [(2, 1), (1, 1)], 3).coeffs == (1, 3, 7, 15)
 
     def test_rational_numerator_and_denominator(self):
         # (1/3)/((1 - 2x)(1 + 3x)) = (1/3) sum_m x^m sum_{k<=m} 2^k (-3)^(m-k)
-        den = Polynomial("x", [1, -2]) * Polynomial("x", [1, 3])
-        s = series_quotient(Polynomial("x", [Fraction(1, 3)]), den, 6)
+        s = series([Fraction(1, 3)], [(2, 1), (-3, 1)], 6)
         want = [sum(Fraction(1, 3) * 2**k * (-3) ** (m - k) for k in range(m + 1)) for m in range(7)]
         assert s.coeffs == tuple(want)
 
-    def test_constant_term_must_be_one(self):
-        with pytest.raises(ValueError):
-            series_quotient(Polynomial("x", [1]), Polynomial("x", [2, 1]), 3)
-
     def test_coefficient_outside_known_range(self):
-        s = series_quotient(Polynomial("x", [1]), Polynomial("x", [1, -2]), 3)
+        s = series([1], [(2, 1)], 3)
         assert s.coefficient(-1) == 0
         with pytest.raises(IndexError):
             s.coefficient(4)
 
-    @given(polys(), st.lists(small_ints, max_size=4))
+    @given(polys(), linear_factors(), st.integers(0, 12))
     @settings(max_examples=100)
-    def test_quotient_roundtrip(self, q, tail):
-        d = Polynomial("x", [1, *tail])  # integer coefficients, constant term 1
-        assert series_quotient(q * d, d, 8) == TruncatedSeries("x", 8, q.coeffs)
+    def test_quotient_roundtrip(self, q, factors, order):
+        d = Polynomial("x", [1])
+        for c, e in factors:  # the denominator expanded by Polynomial products, not by RationalGF
+            d = d * Polynomial("x", [1, -c]) ** e
+        assert RationalGF(q * d, factors).series(order) == TruncatedSeries("x", order, q.coeffs)
 
     @given(polys(), st.integers(-9, 9).filter(bool), st.integers(0, 12))
     @settings(max_examples=100)
     def test_one_minus_t_x_divisor(self, num, t, order):
         # num/(1 - t*x) has x^m coefficient sum_{j<=m} num_j t^(m-j)
         want = [sum(num.coefficient(j) * t ** (m - j) for j in range(m + 1)) for m in range(order + 1)]
-        assert series_quotient(num, Polynomial("x", [1, -t]), order).coeffs == tuple(want)
+        assert RationalGF(num, [(t, 1)]).series(order).coeffs == tuple(want)
 
     @given(st.lists(coefficients, max_size=12), st.integers(0, 10))
     @settings(max_examples=100)
@@ -519,8 +493,8 @@ class TestTruncatedSeries:
         assert ts.coeffs == tuple(cs[: order + 1]) + (0,) * (order + 1 - len(cs))
         assert len(ts.nums) == order + 1
         assert ts.den > 0 and gcd(ts.den, *ts.nums) == 1
-        # series_quotient truncates integers over the polynomial's den, then reduces
-        assert series_quotient(Polynomial("x", cs), Polynomial("x", [1]), order) == ts
+        # a series with no factors truncates integers over the polynomial's den, then reduces
+        assert series(cs, [], order) == ts
 
     def test_common_scale_compares_equal(self):
         half = TruncatedSeries("x", 1, [Fraction(1, 2), 1])
