@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import factorial, lcm
 
 from .poly import BivariatePolynomial, Immutable, Polynomial, TruncatedSeries, binom_rational
-from .poly import _over_lcm, _product, _times_linear
+from .poly import _linear_product, _over_lcm, _product, _times_linear
 from .triangle import RunCountTriangle
 
 
@@ -43,10 +43,7 @@ def K(s: int) -> Fraction:
 @lru_cache(maxsize=None)
 def a_poly(k: int) -> Polynomial:
     """a_k(n) = (-1)^k binom((n-3)/2, k) = prod_{j<k} (3+2j-n) / (2^k k!), degree k in n."""
-    nums = [1]
-    for j in range(k):
-        nums = _times_linear(nums, 3 + 2 * j, -1)
-    return Polynomial._over("n", nums, 2**k * factorial(k))
+    return Polynomial._over("n", _linear_product((3 + 2 * j, -1) for j in range(k)), 2**k * factorial(k))
 
 
 def a_value(k: int, n: int) -> Fraction:
@@ -72,16 +69,12 @@ def b_poly(m: int) -> Polynomial:
 
     For m >= 1 the factorial quotient collapses to a rising product:
     b_m(t) = t * (t+m+1)(t+m+2)***(t+2m-1) / (m! * 4^m).  For m = 0 the
-    quotient is 1/t and the polynomial is the constant 1.
+    quotient is 1/t and the polynomial is the constant 1, the empty product.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    if m == 0:
-        return Polynomial.constant("t", 1)
-    nums = [0, 1]
-    for j in range(m + 1, 2 * m):
-        nums = _times_linear(nums, j, 1)
-    return Polynomial._over("t", nums, factorial(m) * 4**m)
+    factors = [(0, 1), *((j, 1) for j in range(m + 1, 2 * m))] if m else []  # t, then t + j
+    return Polynomial._over("t", _linear_product(factors), factorial(m) * 4**m)
 
 
 NT_VARS = ("n", "t")

@@ -24,7 +24,8 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .closedform import K, b_value, selector
-from .poly import Immutable, Polynomial, TruncatedSeries, _over_lcm, _over_linear, _plus, _product, _times_linear, binom_rational
+from .poly import Immutable, Polynomial, TruncatedSeries, binom_rational
+from .poly import _linear_product, _over_lcm, _over_linear, _plus, _product, _times_linear
 from .triangle import RunCountTriangle
 
 
@@ -43,11 +44,7 @@ class NonzeroRemainderError(ArithmeticError):
 @lru_cache(maxsize=None)
 def _expand_factors(var: str, factors: tuple[tuple[int, int], ...]) -> Polynomial:
     """prod (1 - c*var)^e over the integer (c, e) pairs, once per distinct product: e linear passes a factor."""
-    nums = [1]
-    for c, e in factors:
-        for _ in range(e):
-            nums = _times_linear(nums, 1, -c)
-    return Polynomial._over(var, nums, 1)
+    return Polynomial._over(var, _linear_product((1, -c) for c, e in factors for _ in range(e)), 1)
 
 
 def _integer(c) -> int:
@@ -256,7 +253,7 @@ def _blocks(s: int) -> tuple[list[tuple[int, list[list[int]]]], int]:
     blocks = []
     for i, (t, e) in enumerate(delta_factors(s)):
         if e > i // 2 + 1:
-            raise ValueError(f"k must be in 0..{i // 2} for i={i}, got {i // 2 + 1}")
+            raise ValueError(f"k must be in 0..{i // 2} for i={i}, got {e - 1}")
         w = K(t)
         b, b_den = _over_lcm([b_value(m, t) for m in range(i // 2 + 1)])
         row = []

@@ -14,9 +14,11 @@ degree -1.  Operations work on these integers; `coeffs`, `coefficient` and
 Every polynomial carries a variable tag ("x", "z", "n", "t", ...) which is
 checked whenever two polynomials are combined; mixing tags raises ValueError.
 
-The loops over integer coefficient lists live in four kernels: _product
-(convolution), _times_linear (times c0 + c1*x), _over_linear (series over
-1 - t*x) and _plus (sum); Polynomial and every family run on them.
+The loops over integer coefficient lists live in five kernels: _product
+(convolution), _times_linear (times c0 + c1*x), _linear_product (a product
+of factors c0 + c1*x, one _times_linear pass a factor), _over_linear (series
+over 1 - t*x) and _plus (sum); Polynomial and every family run on them.
+_shift_powers lists every power (V + shift)**e for substitute_linear.
 
 Only the substitutions the families need are offered: integer argument
 shifts (shift, substitute_linear).  No polynomial is divided by another:
@@ -83,6 +85,14 @@ def _plus(a: list[int], b: list[int]) -> list[int]:
     return [x + y for x, y in zip(a, b)] + a[len(b) :]
 
 
+def _linear_product(factors: Iterable[tuple[int, int]]) -> list[int]:
+    """The integer coefficients of prod (c0 + c1*x) over the (c0, c1) pairs: one _times_linear pass a factor."""
+    nums = [1]
+    for c0, c1 in factors:
+        nums = _times_linear(nums, c0, c1)
+    return nums
+
+
 def _shift_powers(shift: int, top: int) -> list[list[int]]:
     """Integer rows with (V + shift)**e = sum_j rows[e][j] V**j for e <= top."""
     rows = [[1]]
@@ -97,8 +107,12 @@ class Immutable:
     __init__ binds the fields named in __slots__ from positional values in slot
     order or from keywords, and raises TypeError on a missing, repeated or
     unknown field.  A subclass that checks its fields calls super().__init__
-    after; Polynomial and BivariatePolynomial, built in the inner loops, bind
-    theirs directly in _set.  Assigning or deleting an attribute raises AttributeError.
+    after.  Only the three number types (Polynomial, BivariatePolynomial and
+    TruncatedSeries) define _set, which reduces and binds their fields; _over
+    builds one of them through _set alone, skipping __init__.  Two values are
+    equal when they have the same type and equal fields, in slot order; only
+    the two polynomials define a hash.  Assigning or deleting an attribute
+    raises AttributeError.
     """
 
     __slots__ = ()
@@ -110,6 +124,16 @@ class Immutable:
             raise TypeError(f"{type(self).__name__} takes the fields ({', '.join(fields)}), got {got}")
         for name, value in (bound | named).items():
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _over(cls, *fields):
+        """The value that cls._set makes of these fields, without __init__'s checks."""
+        return object.__new__(cls)._set(*fields)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
@@ -132,6 +156,7 @@ class Polynomial(Immutable):
         self._set(var, *_over_lcm(coeffs))
 
     def _set(self, var: str, nums: list[int], den: int) -> Polynomial:
+        """Bind the coefficients nums[j] / den, reduced; den > 0, and nums is consumed."""
         while nums and not nums[-1]:
             nums.pop()
         g = gcd(den, *nums)
@@ -142,11 +167,6 @@ class Polynomial(Immutable):
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
         return self
-
-    @classmethod
-    def _over(cls, var: str, nums: list[int], den: int) -> Polynomial:
-        """The polynomial with coefficients nums[j] / den, reduced; den > 0, and nums is consumed."""
-        return object.__new__(cls)._set(var, nums, den)
 
     @classmethod
     def constant(cls, var: str, value) -> Polynomial:
@@ -172,11 +192,6 @@ class Polynomial(Immutable):
         if 0 <= j < len(self.nums):
             return Fraction(self.nums[j], self.den)
         return Fraction(0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return (self.var, self.den, self.nums) == (other.var, other.den, other.nums)
 
     def __hash__(self) -> int:
         return hash((self.var, self.den, self.nums))
@@ -254,7 +269,8 @@ class BivariatePolynomial(Immutable):
         nums, den = _over_lcm(terms.values())
         self._set((str(vars[0]), str(vars[1])), dict(zip(terms, nums)), den)
 
-    def _set(self, vars: tuple[str, str], nums: dict, den: int) -> BivariatePolynomial:
+    def _set(self, vars: tuple[str, str], nums: Mapping, den: int) -> BivariatePolynomial:
+        """Bind the terms nums[e] / den for integer nums and den > 0, reduced."""
         nums = {e: c for e, c in nums.items() if c}
         g = gcd(den, *nums.values())
         if g != 1:
@@ -264,11 +280,6 @@ class BivariatePolynomial(Immutable):
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
         return self
-
-    @classmethod
-    def _over(cls, vars: tuple[str, str], nums: Mapping, den: int) -> BivariatePolynomial:
-        """The polynomial with terms nums[e] / den for integer nums and den > 0, reduced."""
-        return object.__new__(cls)._set(vars, nums, den)
 
     @classmethod
     def constant(cls, vars: tuple[str, str], value) -> BivariatePolynomial:
@@ -293,11 +304,6 @@ class BivariatePolynomial(Immutable):
     def _check_vars(self, other: BivariatePolynomial) -> None:
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BivariatePolynomial):
-            return NotImplemented
-        return (self.vars, self.den, self.nums) == (other.vars, other.den, other.nums)
 
     def __hash__(self) -> int:
         return hash((self.vars, self.den, frozenset(self.nums.items())))
@@ -387,29 +393,20 @@ class TruncatedSeries(Immutable):
     __slots__ = ("var", "order", "nums", "den")
 
     def __init__(self, var: str, order: int, coeffs: Iterable = ()):
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
         self._set(var, order, *_over_lcm(coeffs))
 
     def _set(self, var: str, order: int, nums: list[int], den: int) -> TruncatedSeries:
+        """Bind the coefficients nums[j] / den for j <= order, reduced; den > 0, and order >= 0."""
+        if order < 0:
+            raise ValueError("truncation order must be >= 0")
         nums = nums[: order + 1] + [0] * (order + 1 - len(nums))
         g = gcd(den, *nums)
         super().__init__(var, order, tuple(c // g for c in nums), den // g)
         return self
 
-    @classmethod
-    def _over(cls, var: str, order: int, nums: list[int], den: int) -> TruncatedSeries:
-        """The series with coefficients nums[j] / den for j <= order, reduced; den > 0."""
-        return object.__new__(cls)._set(var, order, nums, den)
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.nums)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.var, self.order, self.den, self.nums) == (other.var, other.order, other.den, other.nums)
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.var!r}, {self.order}, {list(self.coeffs)})"

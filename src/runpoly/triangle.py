@@ -19,10 +19,7 @@ from .poly import Immutable
 
 
 class RunCountTriangle(Immutable):
-    """Rows of P(n, s) for 2 <= n <= n_max; row for n holds s = 1..n-1.
-
-    Triangles compare by value.
-    """
+    """Rows of P(n, s) for 2 <= n <= n_max; row for n holds s = 1..n-1."""
 
     __slots__ = ("n_max", "rows")
 
@@ -35,11 +32,6 @@ class RunCountTriangle(Immutable):
             if len(row) != n - 1 or not all(type(c) is int and c >= 0 for c in row):
                 raise ValueError(f"row n={n} must hold {n - 1} non-negative integers")
         super().__init__(n_max, rows)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RunCountTriangle):
-            return NotImplemented
-        return (self.n_max, self.rows) == (other.n_max, other.rows)
 
     def __repr__(self) -> str:
         # never the counts: str() of a count past 4300 digits raises ValueError

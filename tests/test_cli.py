@@ -234,31 +234,40 @@ def bump_atilde(monkeypatch):
     monkeypatch.setattr(genfun, "atilde_poly", lambda k: real(k) + int(k == 1))
 
 
-def raise_pole_order(monkeypatch):
-    real = genfun.delta_factors  # (1-x)^e becomes (1-x)^(e+1)
-    monkeypatch.setattr(genfun, "delta_factors", lambda s: tuple((c, e + (c == 1)) for c, e in real(s)))
+def raise_pole_order(monkeypatch, by=1):
+    real = genfun.delta_factors  # (1-x)^e becomes (1-x)^(e+by)
+    monkeypatch.setattr(genfun, "delta_factors", lambda s: tuple((c, e + by * (c == 1)) for c, e in real(s)))
 
 
-# Each mutant of a family or of the triangle, and the failure detail that
-# names it, in the checks that compare integer numerators.
+# Each mutant of a family or of the triangle, and every check it fails, with
+# the failure detail that names it.
 MUTANTS = {
     "selector-sign": (flip_odd_selector_signs, {
         "closed-vs-recurrence": "P(3,2): closed form 12 != 4",
         "phi-series-product": "x^1 coefficient wrong at n=2, t=1",
         "series-vs-recurrence": "P(2,2): series 8 != 0",
+        "phi-recurrence": "phi-recurrence: FAILED at i = 1, 2, 3, 4; lhs - rhs at i = 1 has lowest term -4*n^0*t^0",
+        "psi-recurrence": "psi-recurrence: FAILED at i = 1, 2, 3, 4; lhs - rhs at i = 1 has lowest term -4*n^0*s^0",
     }),
     "a-value": (bump_a_value, {
         "a-k-series": "A_1 series at z^5: -1 != 0",
         "phi-series-product": "x^2 coefficient wrong at n=5, t=1",
+        "closed-vs-recurrence": "P(5,3): closed form 60 != 58",
     }),
     "phi-tilde-numerator": (bump_phi_tilde_numerator, {
         "a-k-series": "A_1 series at z^3: 1/2 != 0",
+        "series-vs-recurrence": "P(3,3): series 1 != 0",
     }),
     "phi-part": (bump_phi_part, {
         "phi-series-product": "x^2 coefficient wrong at n=2, t=1",
+        "phi-recurrence": "phi-recurrence: FAILED at i = 2, 3, 4; lhs - rhs at i = 2 has lowest term -1/2*n^0*t^0",
+        "psi-recurrence": "psi-recurrence: FAILED at i = 2, 3, 4; lhs - rhs at i = 2 has lowest term -1/2*n^0*s^0",
     }),
     "triangle-entry": (bump_triangle_entry, {
         "series-vs-recurrence": "P(5,2): series 28 != 29",
+        "row-sums": "row n=5 sums to 121, not 5!",
+        "brute-vs-recurrence": "P(5,2): brute force 28 != 29",
+        "closed-vs-recurrence": "P(5,2): closed form 28 != 29",
     }),
     "phi-times-two": (lambda monkeypatch: scale_phi(monkeypatch, 2), {
         "partial-fractions": "DualPathMismatchError: Phi_1 at x^2: cleared blocks give 2 != 4",
@@ -278,6 +287,11 @@ MUTANTS = {
         "series-vs-recurrence": "ValueError: k must be in 0..0 for i=0, got 1",
         "partial-fractions": "ValueError: k must be in 0..0 for i=0, got 1",
         "degree-claims": "ValueError: k must be in 0..0 for i=0, got 1",
+    }),
+    "pole-order-by-two": (lambda monkeypatch: raise_pole_order(monkeypatch, 2), {
+        "series-vs-recurrence": "ValueError: k must be in 0..0 for i=0, got 2",
+        "partial-fractions": "ValueError: k must be in 0..0 for i=0, got 2",
+        "degree-claims": "ValueError: k must be in 0..0 for i=0, got 2",
     }),
     "atilde-not-divisible": (bump_atilde, {
         name: "NonzeroRemainderError: remainder has 1 at (1+z)^0"
@@ -327,7 +341,7 @@ class TestVerify:
             clear_family_caches()
         assert code == 1
         failed = {c["name"]: c["detail"] for c in json.loads(out)["checks"] if not c["passed"]}
-        assert {name: failed.get(name) for name in expected} == expected
+        assert failed == expected
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_corrupted_psi_family_fails_named_check(self, capsys, monkeypatch, fmt):

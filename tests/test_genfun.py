@@ -354,5 +354,10 @@ class TestRationalGF:
         with pytest.raises(ValueError, match="must be integers"):
             RationalGF(x2, ((Fraction(1, 2), 1),))
 
+    def test_negative_order_is_refused(self):
+        for order in (-1, -3):
+            with pytest.raises(ValueError, match="truncation order must be >= 0"):
+                u_s_gf(3).series(order)
+
     def test_degree_mismatch_error_is_arithmetic(self):
         assert issubclass(DegreeMismatchError, ArithmeticError)

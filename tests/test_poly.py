@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import runpoly
-from runpoly.cli import OutputDocument
+from runpoly.cli import DecimalTriangle, OutputDocument
 from runpoly.closedform import PsiPolynomial, a_poly, psi_polys
 from runpoly.genfun import RationalGF, u_s_gf
 from runpoly.poly import (
     BivariatePolynomial,
     Polynomial,
     TruncatedSeries,
+    _linear_product,
     _plus,
     _product,
     _over_linear,
@@ -356,6 +357,16 @@ class TestListKernels:
         assert len(got) == len(p)
         assert _times_linear(got, 1, -t)[: len(p)] == p
 
+    @given(st.lists(st.tuples(small_ints, small_ints), max_size=6))
+    @settings(max_examples=200)
+    def test_linear_product_is_the_product_of_its_factors(self, factors):
+        want = Polynomial("x", [1])
+        for c0, c1 in factors:  # expanded by Polynomial products
+            want = want * Polynomial("x", [c0, c1])
+        got = _linear_product(factors)
+        assert len(got) == len(factors) + 1
+        assert Polynomial("x", got) == want
+
     @given(int_lists, int_lists)
     @settings(max_examples=200)
     def test_plus_is_polynomial_addition(self, a, b):
@@ -381,6 +392,7 @@ VALUES = {
     "RationalGF": lambda: u_s_gf(1),
     "IdentityReport": lambda: verify_psi_recurrence(psi_polys(2), 1),
     "CheckResult": lambda: CheckResult("row-sums", True, "ok"),
+    "DecimalTriangle": lambda: DecimalTriangle(3),
 }
 
 
@@ -395,16 +407,29 @@ def test_value_types_are_immutable(make):
     assert not hasattr(value, "__dict__")  # slotted
 
 
-# The records whose constructor is Immutable.__init__, with a value for each field.
+@pytest.mark.parametrize("make", VALUES.values(), ids=VALUES)
+def test_only_the_polynomials_hash(make):
+    value = make()
+    if isinstance(value, (Polynomial, BivariatePolynomial)):
+        assert hash(value) == hash(make())
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+
+
+# The six records: a value for each field, and a different value for each field.
 RECORDS = {
-    CheckResult: ("row-sums", True, "ok"),
-    PsiPolynomial: (1, BivariatePolynomial(("n", "s"), {(0, 0): 1})),
-    IdentityReport: ("psi", 1, (), None),
-    OutputDocument: (["text"], ("row-sums",)),
+    CheckResult: (("row-sums", True, "ok"), ("wz-normalization", False, "FAILED")),
+    PsiPolynomial: ((1, BivariatePolynomial(("n", "s"), {(0, 0): 1})), (2, BivariatePolynomial(("n", "s"), {}))),
+    IdentityReport: (("psi", 1, (), None), ("phi", 2, (1,), BivariatePolynomial(("n", "t"), {(0, 0): 1}))),
+    OutputDocument: ((["text"], ("row-sums",)), (["other"], ())),
+    RationalGF: ((Polynomial("x", [1]), ((1, 1),)), (Polynomial("x", [2]), ((2, 1),))),
+    DecimalTriangle: ((5,), (6,)),
 }
+RECORD_IDS = [c.__name__ for c in RECORDS]
 
 
-@pytest.mark.parametrize("cls, values", RECORDS.items(), ids=[c.__name__ for c in RECORDS])
+@pytest.mark.parametrize("cls, values", [(c, v) for c, (v, _) in RECORDS.items()], ids=RECORD_IDS)
 def test_records_bind_exactly_their_fields(cls, values):
     named = dict(zip(cls.__slots__, values))
     for record in (cls(*values), cls(**named), cls(*values[:1], **dict(list(named.items())[1:]))):
@@ -418,6 +443,34 @@ def test_records_bind_exactly_their_fields(cls, values):
         cls(*values, extra=None)
     with pytest.raises(TypeError):  # a field given twice
         cls(*values, **{cls.__slots__[0]: values[0]})
+
+
+@pytest.mark.parametrize("cls, values, others", [(c, *vo) for c, vo in RECORDS.items()], ids=RECORD_IDS)
+def test_records_compare_by_their_fields(cls, values, others):
+    record = cls(*values)
+    assert record == cls(*values)  # two objects with equal fields
+    for j, other in enumerate(others):  # one field changed
+        assert record != cls(*values[:j], other, *values[j + 1 :])
+    assert record != values
+
+
+def test_only_immutable_defines_eq_and_over():
+    # one equality rule and one constructor that skips __init__, both in poly.Immutable;
+    # _over reaches only the three number types' _set
+    found = []
+    for path in sorted(Path(runpoly.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                defined = [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+                defined += [t.id for a in node.body if isinstance(a, ast.Assign) for t in a.targets if isinstance(t, ast.Name)]
+                found += [f"{path.name}:{node.name}.{name}" for name in defined if name in ("__eq__", "_over", "_set")]
+    assert found == [
+        "poly.py:Immutable._over",
+        "poly.py:Immutable.__eq__",
+        "poly.py:Polynomial._set",
+        "poly.py:BivariatePolynomial._set",
+        "poly.py:TruncatedSeries._set",
+    ]
 
 
 def test_only_poly_binds_fields_with_object_setattr():
@@ -495,6 +548,11 @@ class TestTruncatedSeries:
         assert ts.den > 0 and gcd(ts.den, *ts.nums) == 1
         # a series with no factors truncates integers over the polynomial's den, then reduces
         assert series(cs, [], order) == ts
+
+    def test_negative_order_is_refused_by_every_constructor(self):
+        for build in (lambda: TruncatedSeries("x", -1, [1]), lambda: TruncatedSeries._over("x", -1, [1], 1)):
+            with pytest.raises(ValueError, match="truncation order must be >= 0"):
+                build()
 
     def test_common_scale_compares_equal(self):
         half = TruncatedSeries("x", 1, [Fraction(1, 2), 1])
