@@ -18,7 +18,7 @@ import argparse
 import decimal
 import os
 import sys
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import bruteforce, closedform, genfun, serialize, triangle, verification
 from .poly import Immutable
@@ -70,13 +70,17 @@ METHODS = {
 
 
 class OutputDocument(Immutable):
-    """One computed result, and the text chunks that print it (see serialize.encode)."""
+    """One computed result and how to print it; `payload` is its text, as fresh chunks on each read."""
 
-    __slots__ = ("payload", "failed")  # failed: names of the failed verification checks
+    __slots__ = ("kind", "fmt", "value", "params", "failed")  # failed: names of the failed verification checks
+
+    @property
+    def payload(self) -> Iterator[str]:
+        return serialize.encode(self.kind, self.fmt, self.value, **self.params)
 
 
 def _document(kind: str, fmt: str, value, **params) -> OutputDocument:
-    return OutputDocument(serialize.encode(kind, fmt, value, **params), ())
+    return OutputDocument(kind, fmt, value, params, ())
 
 
 def cmd_table(n_max: int, method: str, fmt: str) -> OutputDocument:
@@ -98,7 +102,7 @@ def cmd_series(s: int, order: int, fmt: str) -> OutputDocument:
 def cmd_verify(n_max: int, s_max: int, i_max: int, k_max: int, fmt: str) -> OutputDocument:
     results = verification.run_verification(n_max, s_max, i_max, k_max)
     failed = tuple(r.name for r in results if not r.passed)
-    return OutputDocument(serialize.encode("verification-report", fmt, results), failed)
+    return OutputDocument("verification-report", fmt, results, {}, failed)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,11 +4,13 @@ Rationals travel as strings "p/q" (just "p" when the denominator is 1), never
 as floats, so every JSON document round-trips bit-exactly.  The encoders read
 a polynomial's or series' integer numerators over its one denominator, and
 ratio_to_text reduces each p/q by its gcd as it prints it.  Triangle counts
-are decimal strings too: rows past n = 20 overflow 64-bit consumers.  The
-triangle codecs lift the interpreter's int/str digit limit (Python 3.10.7+
-refuses past 4300 digits, which row entries reach near n = 1560) while they
-convert, and restore it after; the encoders lift it for one row at a time and
-never hold it across a yield.
+are decimal strings too: rows past n = 20 overflow 64-bit consumers.
+
+Every number is written and read in full, past the interpreter's int/str
+digit limit (Python 3.10.7+ refuses past 4300 digits, which triangle entries
+reach near n = 1560).  The limit is lifted only at the two text boundaries:
+encode, around each chunk it makes and never across a yield, and the number
+parsers text_to_fraction and doc_to_triangle.  No encoder knows of it.
 
 The LaTeX emitters mirror the usual tabulated presentation: psi rows keep the
 K(s-i) prefactor symbolic and pull the coefficients over a common
@@ -28,7 +30,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .closedform import PsiPolynomial
 from .genfun import RationalGF
@@ -47,13 +49,6 @@ def ratio_to_text(p: int, q: int) -> str:
     return str(p) if q == 1 else f"{p}/{q}"
 
 
-def text_to_fraction(text: str) -> Fraction:
-    m = _FRACTION_RE.fullmatch(text) if isinstance(text, str) else None
-    if m is None:
-        raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(int(m.group(1)), int(m.group(2) or 1))
-
-
 @contextlib.contextmanager
 def _any_int_digits():
     """Lift the int <-> str digit limit inside, restoring it after."""
@@ -67,6 +62,14 @@ def _any_int_digits():
         yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@_any_int_digits()
+def text_to_fraction(text: str) -> Fraction:
+    m = _FRACTION_RE.fullmatch(text) if isinstance(text, str) else None
+    if m is None:
+        raise ValueError(f"not a rational literal: {text!r}")
+    return Fraction(int(m.group(1)), int(m.group(2) or 1))
 
 
 def _fields(doc, kind: str, **types: type) -> list:
@@ -158,9 +161,7 @@ def doc_to_triangle(doc: dict) -> RunCountTriangle:
 def _triangle_lines(tri: RunCountTriangle, sep: str, end: str = "") -> Iterator[str]:
     """One chunk per row: n and its counts joined by sep, then end; the chunks join to a line per row."""
     for n, row in enumerate(tri.rows, start=2):
-        with _any_int_digits():
-            line = sep.join(map(str, (n, *row)))
-        yield ("" if n == 2 else "\n") + line + end
+        yield ("" if n == 2 else "\n") + sep.join(map(str, (n, *row))) + end
 
 
 def triangle_to_tsv(tri: RunCountTriangle) -> Iterator[str]:
@@ -338,8 +339,7 @@ def _triangle_json(tri: RunCountTriangle, method: str) -> Iterator[str]:
     """The triangle document in the layout of json.dumps(doc, indent=2), a row per chunk."""
     yield f'{{\n  "kind": "triangle",\n  "n_max": {tri.n_max},\n  "rows": ['
     for n, row in enumerate(tri.rows, start=2):
-        with _any_int_digits():
-            counts = '",\n        "'.join(map(str, row))
+        counts = '",\n        "'.join(map(str, row))
         chunk = f'\n    {{\n      "n": {n},\n      "counts": [\n        "{counts}"\n      ]\n    }}'
         yield chunk if n == 2 else "," + chunk
     yield f'\n  ],\n  "method": {json.dumps(method)}\n}}'
@@ -384,13 +384,22 @@ ENCODERS = {
 }
 
 
-def encode(kind: str, fmt: str, value, **params) -> Iterable[str]:
+def encode(kind: str, fmt: str, value, **params) -> Iterator[str]:
     """The text of the document of the given kind for value, as chunks to write in order.
 
-    The triangle encoders yield one chunk per row (json adds a header and a
-    footer); every other document is small and comes as one chunk.  Only json
-    documents echo the request parameters (`method`, `s`); tsv and latex
-    carry the bare data.
+    Nothing is encoded until the first chunk is asked for.  The triangle
+    encoders yield one chunk per row (json adds a header and a footer); every
+    other document is small and comes as one chunk.  Only json documents echo
+    the request parameters (`method`, `s`); tsv and latex carry the bare data.
+    Each chunk is made with the digit limit lifted, and the limit is back in
+    place before the chunk is handed out.
     """
     encoder = ENCODERS[kind, fmt]
-    return encoder(value, **params) if fmt == "json" else encoder(value)
+    with _any_int_digits():  # a _whole encoder makes its text here
+        chunks = iter(encoder(value, **params) if fmt == "json" else encoder(value))
+    while True:
+        with _any_int_digits():
+            chunk = next(chunks, None)
+        if chunk is None:
+            return
+        yield chunk

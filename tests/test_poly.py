@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import runpoly
-from runpoly.cli import DecimalTriangle, OutputDocument
+from runpoly.cli import METHODS, DecimalTriangle, OutputDocument, cmd_phi, cmd_psi, cmd_series, cmd_table, cmd_verify
 from runpoly.closedform import PsiPolynomial, a_poly, psi_polys
 from runpoly.genfun import RationalGF, u_s_gf
 from runpoly.poly import (
@@ -370,15 +370,16 @@ class TestListKernels:
     @given(int_lists, int_lists)
     @settings(max_examples=200)
     def test_plus_is_polynomial_addition(self, a, b):
-        got = _plus(a, b)
-        assert len(got) == max(len(a), len(b))
-        assert Polynomial("x", got) == Polynomial("x", a) + Polynomial("x", b)
+        assert _plus(a, b) == [x + y for x, y in zip_longest(a, b, fillvalue=0)]
 
     @given(int_lists, int_lists, sizes)
     @settings(max_examples=200)
     def test_product_cut_is_the_whole_product_cut(self, a, b, size):
-        whole = _product(a, b)
-        assert Polynomial("x", whole) == Polynomial("x", a) * Polynomial("x", b)
+        whole = [0] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):  # the schoolbook double loop
+            for j, y in enumerate(b):
+                whole[i + j] += x * y
+        assert _product(a, b) == whole
         assert _product(a, b, size) == whole[:size]
 
 
@@ -387,7 +388,7 @@ VALUES = {
     "BivariatePolynomial": lambda: BivariatePolynomial(("n", "s"), {(1, 0): 2}),
     "TruncatedSeries": lambda: TruncatedSeries("x", 2, [1]),
     "RunCountTriangle": lambda: build_triangle(3),
-    "OutputDocument": lambda: OutputDocument(["text"], ()),
+    "OutputDocument": lambda: OutputDocument("triangle", "tsv", build_triangle(3), {}, ()),
     "PsiPolynomial": lambda: psi_polys(1)[1],
     "RationalGF": lambda: u_s_gf(1),
     "IdentityReport": lambda: verify_psi_recurrence(psi_polys(2), 1),
@@ -422,7 +423,10 @@ RECORDS = {
     CheckResult: (("row-sums", True, "ok"), ("wz-normalization", False, "FAILED")),
     PsiPolynomial: ((1, BivariatePolynomial(("n", "s"), {(0, 0): 1})), (2, BivariatePolynomial(("n", "s"), {}))),
     IdentityReport: (("psi", 1, (), None), ("phi", 2, (1,), BivariatePolynomial(("n", "t"), {(0, 0): 1}))),
-    OutputDocument: ((["text"], ("row-sums",)), (["other"], ())),
+    OutputDocument: (
+        ("triangle", "json", build_triangle(3), {"method": "closed"}, ("row-sums",)),
+        ("psi", "tsv", psi_polys(1), {}, ()),
+    ),
     RationalGF: ((Polynomial("x", [1]), ((1, 1),)), (Polynomial("x", [2]), ((2, 1),))),
     DecimalTriangle: ((5,), (6,)),
 }
@@ -452,6 +456,35 @@ def test_records_compare_by_their_fields(cls, values, others):
     for j, other in enumerate(others):  # one field changed
         assert record != cls(*values[:j], other, *values[j + 1 :])
     assert record != values
+
+
+# Each command, twice with the same arguments: the two documents, and the text they print, are equal.
+COMMANDS = {
+    **{f"table-{method}": lambda method=method: cmd_table(5, method, "tsv") for method in METHODS},
+    "psi": lambda: cmd_psi(3, "json"),
+    "phi": lambda: cmd_phi(3, "latex"),
+    "series": lambda: cmd_series(3, 10, "json"),
+    "verify": lambda: cmd_verify(6, 4, 4, 4, "tsv"),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS.values(), ids=COMMANDS)
+def test_equal_commands_give_equal_documents(command):
+    doc = command()
+    assert doc == command()
+    assert "".join(doc.payload) == "".join(doc.payload) == "".join(command().payload)
+
+
+def test_only_the_text_boundaries_lift_the_digit_limit():
+    # the int/str digit limit is lifted where text is made (serialize.encode) or parsed
+    # (text_to_fraction, doc_to_triangle), never inside an encoder
+    users = set()
+    for path in sorted(Path(runpoly.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if "_any_int_digits" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    users.add(f"{path.name}:{getattr(top, 'name', '<module>')}")
+    assert sorted(users) == ["serialize.py:doc_to_triangle", "serialize.py:encode", "serialize.py:text_to_fraction"]
 
 
 def test_only_immutable_defines_eq_and_over():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from runpoly.cli import main
 from runpoly.closedform import PsiPolynomial, psi_polys
-from runpoly.genfun import delta_factors, phi_s_poly, u_s_series
+from runpoly.genfun import RationalGF, delta_factors, phi_s_poly, u_s_series
 from runpoly.poly import BivariatePolynomial, Polynomial, TruncatedSeries
 from runpoly.serialize import (
     _any_int_digits,
@@ -240,6 +241,19 @@ class TestCountsPastTheDigitLimit:
     # 5001 digits: past the interpreter's default int/str limit of 4300
     HUGE = RunCountTriangle(3, ((2,), (10**5000, 4)))
     DIGITS = "1" + "0" * 5000
+    # a value of each kind with a 5001-digit coefficient, and its json parameters
+    DOCUMENTS = {
+        "triangle": (HUGE, {"method": "recurrence"}),
+        "phi": (RationalGF(Polynomial("x", [0, 10**5000, 3]), ((2, 1),)), {"s": 2}),
+        "psi": ([PsiPolynomial(1, BivariatePolynomial(("n", "s"), {(0, 0): 3, (1, 0): 10**5000}))], {}),
+        "series": (TruncatedSeries("x", 2, [0, 10**5000, 3]), {"s": 2}),
+    }
+    # per kind: the json decoders applied to a document, and the values they give back
+    DECODED = {
+        "phi": (lambda doc: doc_to_polynomial(doc["numerator"]), lambda gf: gf.numerator),
+        "psi": (lambda doc: [doc_to_bivariate(row["part"]) for row in doc["rows"]], lambda family: [psi.part for psi in family]),
+        "series": (doc_to_series, lambda ts: ts),
+    }
 
     def limit(self):
         return getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -267,6 +281,32 @@ class TestCountsPastTheDigitLimit:
         assert doc_to_triangle(json.loads(text)) == self.HUGE
         assert self.limit() == before
 
+    @pytest.mark.parametrize("fmt", ["json", "tsv", "latex"])
+    @pytest.mark.parametrize("kind", ["phi", "psi", "series"])
+    def test_every_document_writes_every_digit(self, kind, fmt):
+        value, params = self.DOCUMENTS[kind]
+        before = self.limit()
+        assert self.DIGITS in "".join(encode(kind, fmt, value, **params))
+        assert self.limit() == before
+
+    @pytest.mark.parametrize("kind", DECODED)
+    def test_every_json_round_trips(self, kind):
+        (value, params), (decode, decoded) = self.DOCUMENTS[kind], self.DECODED[kind]
+        before = self.limit()
+        text = "".join(encode(kind, "json", value, **params))
+        assert decode(json.loads(text)) == decoded(value)
+        assert self.limit() == before
+
+    def test_the_cli_prints_a_series_past_the_limit(self, capsys):
+        # P(14300, 2) = 2^14300 - 4 has 4305 digits
+        with _any_int_digits():
+            last_line = f"14300\t{2**14300 - 4}"
+        code = main(["series", "--s", "2", "--order", "14300", "--format", "tsv"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == last_line
+        assert self.limit() == DEFAULT_DIGIT_LIMIT
+
     def test_repr_leaves_out_the_counts(self):
         # Hypothesis prints the explicit examples of the streaming property with repr()
         assert repr(self.HUGE) == "RunCountTriangle(n_max=3, 2 rows)"
@@ -287,10 +327,14 @@ class TestCountsPastTheDigitLimit:
         if fmt == "json":
             assert doc_to_triangle(json.loads(text)) == tri
 
-    @pytest.mark.parametrize("fmt", ["json", "tsv", "latex"])
-    def test_limit_is_not_held_across_a_chunk(self, fmt):
-        params = {"method": "recurrence"} if fmt == "json" else {}
-        chunks = encode("triangle", fmt, self.HUGE, **params)
+    @pytest.mark.parametrize(
+        "kind, fmt",
+        [pytest.param("triangle", fmt, id=fmt) for fmt in ("json", "tsv", "latex")]
+        + [(kind, fmt) for kind in ("phi", "psi", "series") for fmt in ("json", "tsv", "latex")],
+    )
+    def test_limit_is_not_held_across_a_chunk(self, kind, fmt):
+        value, params = self.DOCUMENTS[kind]
+        chunks = encode(kind, fmt, value, **params)
         for chunk in chunks:  # suspended after each chunk, up to the huge row
             assert self.limit() == DEFAULT_DIGIT_LIMIT
             if self.DIGITS in chunk:
