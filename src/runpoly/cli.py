@@ -23,6 +23,11 @@ from typing import Iterable, Iterator
 from . import bruteforce, closedform, genfun, serialize, triangle, verification
 from .poly import Immutable
 
+try:
+    import fcntl
+except ImportError:  # Windows has no fcntl; `_write` then leaves the pipe as it is
+    fcntl = None
+
 FORMATS = ("json", "tsv", "latex")
 
 # Decimal arithmetic that cannot round: a step that would lose a digit raises.
@@ -52,7 +57,7 @@ class DecimalTriangle(Immutable):
 
     @property
     def rows(self):
-        rows = triangle.recurrence_rows(decimal.Decimal(2), self.n_max)
+        rows = triangle.recurrence_rows(decimal.Decimal, self.n_max)
         for _ in range(self.n_max - 1):
             with decimal.localcontext(EXACT):
                 row = next(rows)
@@ -144,7 +149,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write(chunks: Iterable[str]) -> None:
-    """Print the chunks to stdout in turn; a reader that leaves early (`| head`) is not an error."""
+    """Print the chunks to stdout in turn; a reader that leaves early (`| head`) is not an error.
+
+    A 1 MiB pipe first, best effort: through the default 64 KiB one a 40 MB
+    table makes the writer wait on its reader hundreds of times.
+    """
+    try:
+        fcntl.fcntl(sys.stdout.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
+    except (AttributeError, OSError, ValueError):
+        pass  # no fcntl or F_SETPIPE_SZ here, a stdout with no descriptor, not a pipe, or refused
     try:
         for chunk in chunks:
             sys.stdout.write(chunk)

@@ -7,12 +7,14 @@ Built from the classical recurrence
 with base row P(2, s) = 2*delta_{s,1}.  The recurrence is applied only for
 n >= 3 (it would need an undefined P(1, .) at n = 2) and out-of-range values
 (s < 1 or s > n-1) are taken as 0.  `recurrence_rows` is the one copy of
-the recurrence; it works in any number type that the base entry 2 is given in.
-`build_triangle` runs it on Python integers.
+the recurrence; it works in any number type `kind` that can be made from an
+int.  `build_triangle` runs it on Python integers, and `cli.DecimalTriangle`
+on Decimals in a context that cannot round.
 """
 
 from __future__ import annotations
 
+from operator import add, mul
 from typing import Iterator
 
 from .poly import Immutable
@@ -51,22 +53,30 @@ class RunCountTriangle(Immutable):
         return self.rows[n - 2]
 
 
-def recurrence_rows(two, n_max: int) -> Iterator[tuple]:
+def recurrence_rows(kind, n_max: int) -> Iterator[tuple]:
     """Yield the rows of P(n, s) for n = 2..n_max, each computed from the last.
 
-    Every entry is built from `two` by sums and by products with small ints, so
-    the rows come in the type of `two`.  The generator holds two rows.
+    The rows come in the number type `kind`: every entry is built from kind(2)
+    by sums and by products with the multipliers kind(1), kind(2), ..., each
+    made once, so no int is converted per entry.  A row is made by C-level
+    maps over `operator.add` and `operator.mul`.  The generator holds two rows
+    and the n_max multipliers.
     """
-    row = (two,)
+    zero = kind(0)
+    k = [zero, kind(1)]  # k[m] = kind(m); one more a row, so nothing is made ahead for a huge n_max
+    row = (kind(2),)
     yield row
     for n in range(3, n_max + 1):
-        prev = (0, 0, *row, 0)  # prev[s + 1] = P(n-1, s), 0 outside 1..n-2
+        k.append(kind(n - 1))
+        prev = (zero, zero, *row, zero)  # prev[s + 1] = P(n-1, s), 0 outside 1..n-2
+        mid = prev[1:]
+        # s*P(n-1, s) + (2*P(n-1, s-1) + (n-s)*P(n-1, s-2)) for s = 1..n-1
         row = tuple(
-            s * prev[s + 1] + 2 * prev[s] + (n - s) * prev[s - 1] for s in range(1, n)
+            map(add, map(mul, k[1:n], prev[2:]), map(add, map(add, mid, mid), map(mul, k[n - 1 : 0 : -1], prev)))
         )
         yield row
 
 
 def build_triangle(n_max: int) -> RunCountTriangle:
     """Compute P(n, s) for all 2 <= n <= n_max by the run-count recurrence."""
-    return RunCountTriangle(n_max=n_max, rows=tuple(recurrence_rows(2, n_max)))
+    return RunCountTriangle(n_max=n_max, rows=tuple(recurrence_rows(int, n_max)))

@@ -1,5 +1,6 @@
 import contextlib
 import decimal
+import errno
 import functools
 import hashlib
 import io
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -663,9 +665,9 @@ class TestExactDecimalTable:
 
 
 def test_closed_pipe_is_not_an_error():
-    # about 1 MB of output, far more than a pipe buffers
+    # about 8.5 MB of output, far more than even the 1 MiB pipe `_write` asks for
     proc = subprocess.Popen(
-        [sys.executable, "-m", "runpoly.cli", "table", "--n-max", "150", "--format", "tsv"],
+        [sys.executable, "-m", "runpoly.cli", "table", "--n-max", "250", "--format", "tsv"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": str(Path(runpoly.__file__).parents[1])},
@@ -705,8 +707,9 @@ def test_ctrl_c_exits_two(capsys, monkeypatch, exc, message):
 
 def test_closed_pipe_mid_json_is_not_an_error():
     # the json triangle is written a row at a time; the reader leaves after the first bytes
+    # of about 8.8 MB, far more than even the 1 MiB pipe `_write` asks for
     proc = subprocess.Popen(
-        [sys.executable, "-m", "runpoly.cli", "table", "--n-max", "150"],
+        [sys.executable, "-m", "runpoly.cli", "table", "--n-max", "250"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": str(Path(runpoly.__file__).parents[1])},
@@ -715,6 +718,57 @@ def test_closed_pipe_mid_json_is_not_an_error():
     proc.stdout.close()
     assert proc.wait(timeout=60) == 0
     assert proc.stderr.read() == b""
+
+
+@pytest.mark.skipif(not hasattr(cli.fcntl, "F_GETPIPE_SZ"), reason="pipe sizes are Linux only")
+def test_stdout_pipe_is_grown_to_one_mib():
+    fcntl = cli.fcntl
+    probe = os.pipe()
+    try:
+        fcntl.fcntl(probe[1], fcntl.F_SETPIPE_SZ, 1 << 20)
+    except OSError:
+        pytest.skip("this process cannot grow a pipe to 1 MiB")
+    finally:
+        for fd in probe:
+            os.close(fd)
+    read_end, write_end = os.pipe()
+    with os.fdopen(read_end, "rb") as reader:
+        try:
+            assert fcntl.fcntl(read_end, fcntl.F_GETPIPE_SZ) < 1 << 20
+            proc = subprocess.run(
+                [sys.executable, "-m", "runpoly.cli", "table", "--n-max", "2", "--format", "tsv"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                timeout=60,
+                env={**os.environ, "PYTHONPATH": str(Path(runpoly.__file__).parents[1])},
+            )
+        finally:
+            os.close(write_end)
+        assert fcntl.fcntl(read_end, fcntl.F_GETPIPE_SZ) == 1 << 20
+        assert (proc.returncode, reader.read(), proc.stderr) == (0, b"2\t2\n", b"")
+
+
+class StdoutWithDescriptor(io.StringIO):
+    def fileno(self):
+        return 1  # seen only by the fake fcntl below
+
+
+def refuse(fd, cmd, arg):
+    raise OSError(errno.EPERM, "refused", (fd, cmd, arg))
+
+
+@pytest.mark.parametrize("fcntl, stdout", [
+    (types.SimpleNamespace(fcntl=refuse, F_SETPIPE_SZ=1031), StdoutWithDescriptor),
+    (types.SimpleNamespace(fcntl=refuse), StdoutWithDescriptor),
+    (None, StdoutWithDescriptor),
+    (cli.fcntl, io.StringIO),
+], ids=["refused", "no F_SETPIPE_SZ", "no fcntl", "StringIO stdout"])
+def test_pipe_that_cannot_grow_prints_the_same_text(monkeypatch, fcntl, stdout):
+    monkeypatch.setattr(cli, "fcntl", fcntl)
+    out = stdout()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["table", "--n-max", "30", "--format", "tsv"])
+    assert (code, out.getvalue()) == (0, int_table_text(30, "tsv"))
 
 
 def test_ctrl_c_mid_stream_exits_two(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 """Recurrence triangle vs the brute-force oracle, and three diagonals vs classical closed forms."""
 
+import decimal
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import factorial
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 from runpoly.bruteforce import ENUMERATION_CAP, brute_triangle, count_runs
 from runpoly.closedform import closed_row
 from runpoly.genfun import u_s_series
-from runpoly.triangle import build_triangle
+from runpoly.cli import EXACT
+from runpoly.triangle import build_triangle, recurrence_rows
 
 
 class TestCountRuns:
@@ -91,6 +94,13 @@ class TestBuildTriangle:
     def test_rejects_n_below_2(self):
         with pytest.raises(ValueError):
             build_triangle(1)
+
+    @pytest.mark.parametrize("kind", [int, Fraction, decimal.Decimal])
+    def test_recurrence_rows_come_in_the_kind_given(self, kind):
+        with decimal.localcontext(EXACT):
+            rows = tuple(recurrence_rows(kind, 60))
+        assert rows == build_triangle(60).rows
+        assert {type(c) for row in rows for c in row} == {kind}
 
     def test_two_runs_column(self):
         # known closed form for the two-run column: P(n, 2) = 2^n - 4
