@@ -3,13 +3,16 @@
 Subcommands: table (the P(n,s) triangle by any of the four methods), psi and
 phi (the two polynomial families), series (u_s coefficients), and verify (the
 full cross-check battery).  Data goes to stdout, diagnostics to stderr.  Exit
-codes: 0 success, 1 verification failure, 2 usage error, Ctrl-C or running
-out of memory, nothing else.  A command computes its whole result before the
-first byte of stdout, then streams the text, so a failed computation leaves
-stdout empty.  The one exception is `table --method recurrence`: after its
-argument check it computes the triangle a row at a time as the row is
-written, in exact `Decimal` arithmetic that raises rather than round (see
-`DecimalTriangle`).
+codes: 0 success, 1 verification failure, 2 usage error, Ctrl-C, running
+out of memory or a failed write, nothing else.  A command computes its whole
+result before the first byte of stdout, then streams the text, so a failed
+computation leaves stdout empty.  The one exception is `table --method
+recurrence`: after its argument check it computes the triangle a row at a
+time as the row is written, in exact `Decimal` arithmetic that raises rather
+than round (see `DecimalTriangle`).
+
+`main(argv)` is the library entry and returns the exit code; `run()` is the
+process entry, which flushes the streams and ends the process at once.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import argparse
 import decimal
 import os
 import sys
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from . import bruteforce, closedform, genfun, serialize, triangle, verification
 from .poly import Immutable
@@ -148,8 +151,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _guard_stdout(write) -> None:
+    """Call `write`; a reader that leaves early (`| head`) is not an error, any other failed write is.
+
+    Either way stdout is then pointed at os.devnull, so that no later flush,
+    ours or the interpreter's at exit, tries the buffered bytes again.
+    """
+    try:
+        write()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            raise
+
+
 def _write(chunks: Iterable[str]) -> None:
-    """Print the chunks to stdout in turn; a reader that leaves early (`| head`) is not an error.
+    """Print the chunks to stdout in turn, then flush.
 
     A 1 MiB pipe first, best effort: through the default 64 KiB one a 40 MB
     table makes the writer wait on its reader hundreds of times.
@@ -158,14 +175,19 @@ def _write(chunks: Iterable[str]) -> None:
         fcntl.fcntl(sys.stdout.fileno(), fcntl.F_SETPIPE_SZ, 1 << 20)
     except (AttributeError, OSError, ValueError):
         pass  # no fcntl or F_SETPIPE_SZ here, a stdout with no descriptor, not a pipe, or refused
-    try:
+
+    def write():
         for chunk in chunks:
             sys.stdout.write(chunk)
         sys.stdout.write("\n")
         sys.stdout.flush()
-    except BrokenPipeError:
-        # keep the interpreter's flush at exit from failing on the closed pipe
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+    _guard_stdout(write)
+
+
+def _cannot_write(exc: OSError) -> int:
+    print(f"error: cannot write output: {exc}", file=sys.stderr)
+    return 2
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -186,6 +208,8 @@ def main(argv: list[str] | None = None) -> int:
         # a broken identity surfaced outside the verify battery
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # only `_write` does I/O: stdout refused a write (a full disk, /dev/full)
+        return _cannot_write(exc)
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 2
@@ -199,5 +223,33 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _watched() -> bool:
+    """Whether a profiler, tracer or coverage tool runs in this process; it writes its report at exit."""
+    if sys.getprofile() or sys.gettrace():
+        return True
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+, where cProfile and coverage may use it instead
+    return monitoring is not None and any(map(monitoring.get_tool, range(6)))  # tool ids are 0..5
+
+
+def run() -> NoReturn:
+    """The process entry: `main()`, flush stdout then stderr, and end the process.
+
+    `os._exit` skips the interpreter's teardown (finalising every module and
+    the last garbage collections), several milliseconds that change no byte:
+    the operating system reclaims the memory anyway.  A profiler or coverage
+    tool writes its report during that teardown, so under one the process
+    leaves through `sys.exit` instead.
+    """
+    code = main()
+    try:
+        _guard_stdout(sys.stdout.flush)  # only argparse's --help text can still be buffered
+    except OSError as exc:
+        code = _cannot_write(exc)
+    sys.stderr.flush()
+    if _watched():
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -24,6 +25,11 @@ from runpoly.genfun import RationalGF
 from runpoly.poly import BivariatePolynomial, Polynomial
 from runpoly.triangle import RunCountTriangle, build_triangle
 from test_serialize import reference_text
+
+
+# a child interpreter that imports this checkout's runpoly
+CLI_ENV = {**os.environ, "PYTHONPATH": str(Path(runpoly.__file__).parents[1])}
+PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
 
 
 def run_cli(capsys, *argv):
@@ -670,7 +676,7 @@ def test_closed_pipe_is_not_an_error():
         [sys.executable, "-m", "runpoly.cli", "table", "--n-max", "250", "--format", "tsv"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": str(Path(runpoly.__file__).parents[1])},
+        env=CLI_ENV,
     )
     assert proc.stdout.read(10) == b"2\t2\n3\t2\t4\n"
     proc.stdout.close()
@@ -687,7 +693,7 @@ def test_import_leaves_out_dataclasses_and_inspect():
         capture_output=True,
         text=True,
         timeout=60,
-        env={**os.environ, "PYTHONPATH": str(Path(runpoly.__file__).parents[1])},
+        env=CLI_ENV,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
@@ -712,7 +718,7 @@ def test_closed_pipe_mid_json_is_not_an_error():
         [sys.executable, "-m", "runpoly.cli", "table", "--n-max", "250"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": str(Path(runpoly.__file__).parents[1])},
+        env=CLI_ENV,
     )
     assert proc.stdout.read(10) == b'{\n  "kind"'
     proc.stdout.close()
@@ -740,7 +746,7 @@ def test_stdout_pipe_is_grown_to_one_mib():
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 timeout=60,
-                env={**os.environ, "PYTHONPATH": str(Path(runpoly.__file__).parents[1])},
+                env=CLI_ENV,
             )
         finally:
             os.close(write_end)
@@ -769,6 +775,68 @@ def test_pipe_that_cannot_grow_prints_the_same_text(monkeypatch, fcntl, stdout):
     with contextlib.redirect_stdout(out):
         code = cli.main(["table", "--n-max", "30", "--format", "tsv"])
     assert (code, out.getvalue()) == (0, int_table_text(30, "tsv"))
+
+
+def console_script_entry() -> list[str]:
+    """A command that runs the `runpoly` console script's target, as the installed script does."""
+    section = PYPROJECT.read_text().split("[project.scripts]")[1].split("\n[")[0]
+    module, function = re.search(r'^runpoly = "([\w.]+):(\w+)"$', section, re.M).groups()
+    return [sys.executable, "-c", f"import sys; from {module} import {function}; sys.exit({function}())"]
+
+
+ENTRIES = {
+    "python -m runpoly.cli": [sys.executable, "-m", "runpoly.cli"],
+    "console script": console_script_entry(),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("argv", [
+    ["table", "--n-max", "60", "--format", "tsv"],
+    ["verify", "--format", "tsv"],
+    ["phi", "--s", "20", "--format", "latex"],
+    ["table", "--n-max", "x"],
+], ids=["table", "verify", "phi", "usage error"])
+def test_hard_exit_loses_no_byte(capsys, tmp_path, entry, argv):
+    # a regular file and a buffered stdout: the last block is still buffered when main returns
+    env = {k: v for k, v in CLI_ENV.items() if k != "PYTHONUNBUFFERED"}
+    with open(tmp_path / "out", "wb") as out:
+        proc = subprocess.run(ENTRIES[entry] + argv, stdout=out, stderr=subprocess.PIPE, timeout=60, env=env)
+    code, want_out, want_err = run_cli(capsys, *argv)
+    assert (proc.returncode, proc.stderr.decode()) == (code, want_err)
+    assert (tmp_path / "out").read_text() == want_out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "PYTHONUNBUFFERED"])
+@pytest.mark.parametrize("argv", [
+    ["table", "--n-max", "5", "--format", "tsv"],
+    ["table", "--n-max", "250"],  # fails mid-stream, far past any buffer
+    ["verify"],
+], ids=["small table", "large table", "verify"])
+def test_write_error_exits_two(entry, unbuffered, argv):
+    env = {k: v for k, v in CLI_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(ENTRIES[entry] + argv, stdout=full, stderr=subprocess.PIPE, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == f"error: cannot write output: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
+
+
+def test_profiler_still_reports():
+    # cProfile prints its table during the interpreter's teardown, which `run` skips when nothing watches
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "runpoly.cli", "table", "--n-max", "2"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=CLI_ENV,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(int_table_text(2, "json"))
+    assert "function calls" in proc.stdout and "ncalls" in proc.stdout
 
 
 def test_ctrl_c_mid_stream_exits_two(capsys, monkeypatch):
