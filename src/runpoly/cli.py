@@ -113,8 +113,17 @@ def cmd_verify(n_max: int, s_max: int, i_max: int, k_max: int, fmt: str) -> Outp
     return OutputDocument("verification-report", fmt, results, {}, failed)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose --help text reports a failed write; argparse's own drops the error."""
+
+    def print_help(self, file=None):
+        if file is not None:
+            return super().print_help(file)
+        _guard_stdout(lambda: sys.stdout.write(self.format_help()))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="runpoly",
         description="Exact run-count enumeration: triangles, polynomial families, "
         "generating-function series, and cross-verification.",
@@ -151,18 +160,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _guard_stdout(write) -> None:
-    """Call `write`; a reader that leaves early (`| head`) is not an error, any other failed write is.
+def _to_devnull(stream) -> None:
+    """Point the stream at os.devnull, so that no later flush, ours or the interpreter's at exit, tries its buffered bytes again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
-    Either way stdout is then pointed at os.devnull, so that no later flush,
-    ours or the interpreter's at exit, tries the buffered bytes again.
-    """
+
+def _guard_stdout(write) -> None:
+    """Call `write`; a reader that leaves early (`| head`) is not an error, any other failed write is."""
     try:
         write()
     except OSError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _to_devnull(sys.stdout)
         if not isinstance(exc, BrokenPipeError):
             raise
+
+
+def _guard_stderr(write) -> None:
+    """Call `write`; a diagnostic that cannot be written is dropped, and the exit code stands."""
+    try:
+        write()
+    except OSError:
+        _to_devnull(sys.stderr)
+
+
+def _say(message: str) -> None:
+    """Print a diagnostic line to stderr."""
+    _guard_stderr(lambda: print(message, file=sys.stderr))
 
 
 def _write(chunks: Iterable[str]) -> None:
@@ -186,7 +209,7 @@ def _write(chunks: Iterable[str]) -> None:
 
 
 def _cannot_write(exc: OSError) -> int:
-    print(f"error: cannot write output: {exc}", file=sys.stderr)
+    _say(f"error: cannot write output: {exc}")
     return 2
 
 
@@ -196,29 +219,31 @@ def main(argv: list[str] | None = None) -> int:
         args = vars(parser.parse_args(argv))
     except SystemExit as exc:  # argparse already printed usage to stderr
         return 0 if exc.code in (0, None) else 2
+    except OSError as exc:  # stdout refused the --help text
+        return _cannot_write(exc)
 
     del args["command"]
     try:
         doc = args.pop("run")(**args)
         _write(doc.payload)
     except (ValueError, OverflowError) as exc:  # OverflowError: an argument past sys.maxsize
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return 2
     except ArithmeticError as exc:
         # a broken identity surfaced outside the verify battery
-        print(f"verification failure: {exc}", file=sys.stderr)
+        _say(f"verification failure: {exc}")
         return 1
     except OSError as exc:  # only `_write` does I/O: stdout refused a write (a full disk, /dev/full)
         return _cannot_write(exc)
     except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
+        _say("interrupted")
         return 2
     except MemoryError:
-        print("error: out of memory; try smaller arguments", file=sys.stderr)
+        _say("error: out of memory; try smaller arguments")
         return 2
 
     if doc.failed:
-        print(f"verification failed ({', '.join(doc.failed)})", file=sys.stderr)
+        _say(f"verification failed ({', '.join(doc.failed)})")
         return 1
     return 0
 
@@ -245,7 +270,7 @@ def run() -> NoReturn:
         _guard_stdout(sys.stdout.flush)  # only argparse's --help text can still be buffered
     except OSError as exc:
         code = _cannot_write(exc)
-    sys.stderr.flush()
+    _guard_stderr(sys.stderr.flush)
     if _watched():
         sys.exit(code)
     os._exit(code)

@@ -158,10 +158,31 @@ def doc_to_triangle(doc: dict) -> RunCountTriangle:
 # TSV
 
 
-def _triangle_lines(tri: RunCountTriangle, sep: str, end: str = "") -> Iterator[str]:
-    """One chunk per row: n and its counts joined by sep, then end; the chunks join to a line per row."""
+# Counts per chunk of a triangle row.  A whole row past n = 300 is hundreds
+# of KB of text, which lands in freshly mapped pages and sets the process's
+# peak memory; much smaller chunks cost CPU in more writes.
+_CHUNK = 64
+
+
+def _row_chunks(tri: RunCountTriangle, between: str, head: str, sep: str, end: str) -> Iterator[str]:
+    """Each row of tri as chunks of at most _CHUNK counts joined by sep.
+
+    A row's first chunk opens with between (for every row but the first) and
+    head % n; each later chunk opens with sep, and the row's last ends in end.
+    """
+    lead = ""
     for n, row in enumerate(tri.rows, start=2):
-        yield ("" if n == 2 else "\n") + sep.join(map(str, (n, *row))) + end
+        chunk = lead + head % n + sep.join(map(str, row[:_CHUNK]))
+        for i in range(_CHUNK, len(row), _CHUNK):
+            yield chunk
+            chunk = sep + sep.join(map(str, row[i : i + _CHUNK]))
+        yield chunk + end
+        lead = between
+
+
+def _triangle_lines(tri: RunCountTriangle, sep: str, end: str = "") -> Iterator[str]:
+    """A line per row, n and its counts joined by sep, then end; each row comes in chunks of at most _CHUNK counts."""
+    return _row_chunks(tri, "\n", "%d" + sep, sep, end)
 
 
 def triangle_to_tsv(tri: RunCountTriangle) -> Iterator[str]:
@@ -336,12 +357,11 @@ def _report_json(results) -> dict:
 
 
 def _triangle_json(tri: RunCountTriangle, method: str) -> Iterator[str]:
-    """The triangle document in the layout of json.dumps(doc, indent=2), a row per chunk."""
+    """The triangle document in the layout of json.dumps(doc, indent=2), each row in chunks of at most _CHUNK counts."""
     yield f'{{\n  "kind": "triangle",\n  "n_max": {tri.n_max},\n  "rows": ['
-    for n, row in enumerate(tri.rows, start=2):
-        counts = '",\n        "'.join(map(str, row))
-        chunk = f'\n    {{\n      "n": {n},\n      "counts": [\n        "{counts}"\n      ]\n    }}'
-        yield chunk if n == 2 else "," + chunk
+    yield from _row_chunks(
+        tri, ",", '\n    {\n      "n": %d,\n      "counts": [\n        "', '",\n        "', '"\n      ]\n    }'
+    )
     yield f'\n  ],\n  "method": {json.dumps(method)}\n}}'
 
 
@@ -388,7 +408,8 @@ def encode(kind: str, fmt: str, value, **params) -> Iterator[str]:
     """The text of the document of the given kind for value, as chunks to write in order.
 
     Nothing is encoded until the first chunk is asked for.  The triangle
-    encoders yield one chunk per row (json adds a header and a footer); every
+    encoders yield each row in chunks of at most _CHUNK counts, so no row's
+    whole text is ever one string (json adds a header and a footer); every
     other document is small and comes as one chunk.  Only json documents echo
     the request parameters (`method`, `s`); tsv and latex carry the bare data.
     Each chunk is made with the digit limit lifted, and the limit is back in
@@ -397,9 +418,17 @@ def encode(kind: str, fmt: str, value, **params) -> Iterator[str]:
     encoder = ENCODERS[kind, fmt]
     with _any_int_digits():  # a _whole encoder makes its text here
         chunks = iter(encoder(value, **params) if fmt == "json" else encoder(value))
-    while True:
-        with _any_int_digits():
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # an interpreter without the limit
+        yield from chunks
+        return
+    while True:  # _any_int_digits unrolled: a triangle makes thousands of chunks
+        limit = get_limit()
+        sys.set_int_max_str_digits(0)
+        try:
             chunk = next(chunks, None)
+        finally:
+            sys.set_int_max_str_digits(limit)
         if chunk is None:
             return
         yield chunk

@@ -814,7 +814,9 @@ def test_hard_exit_loses_no_byte(capsys, tmp_path, entry, argv):
     ["table", "--n-max", "5", "--format", "tsv"],
     ["table", "--n-max", "250"],  # fails mid-stream, far past any buffer
     ["verify"],
-], ids=["small table", "large table", "verify"])
+    ["--help"],  # argparse drops a failed write of its help text
+    ["table", "--help"],
+], ids=["small table", "large table", "verify", "help", "subcommand help"])
 def test_write_error_exits_two(entry, unbuffered, argv):
     env = {k: v for k, v in CLI_ENV.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
@@ -823,6 +825,34 @@ def test_write_error_exits_two(entry, unbuffered, argv):
         proc = subprocess.run(ENTRIES[entry] + argv, stdout=full, stderr=subprocess.PIPE, timeout=60, env=env)
     assert proc.returncode == 2
     assert proc.stderr.decode() == f"error: cannot write output: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
+
+
+# a library caller that makes the closed method fail an identity, then runs the process entry
+FAILING_IDENTITY = [sys.executable, "-c", (
+    "from runpoly import cli, closedform\n"
+    "def broken(n_max): raise closedform.NonIntegerResultError('P(5,2) evaluated to 1/2')\n"
+    "cli.METHODS['closed'] = broken\n"
+    "cli.run()"
+)]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "PYTHONUNBUFFERED"])
+@pytest.mark.parametrize("command, code", [
+    (ENTRIES["python -m runpoly.cli"] + ["table", "--n-max", "1"], 2),
+    (ENTRIES["console script"] + ["table", "--n-max", "1"], 2),
+    (ENTRIES["python -m runpoly.cli"] + ["table", "--bogus"], 2),
+    (FAILING_IDENTITY + ["table", "--n-max", "5", "--method", "closed"], 1),
+    (ENTRIES["python -m runpoly.cli"] + ["table", "--n-max", "2"], 0),
+], ids=["usage error", "usage error, console script", "argparse usage error", "failed identity", "success"])
+def test_failing_stderr_keeps_the_exit_code(unbuffered, command, code):
+    # a diagnostic that cannot be written is dropped
+    env = {k: v for k, v in CLI_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(command, stdout=subprocess.DEVNULL, stderr=full, timeout=60, env=env)
+    assert proc.returncode == code
 
 
 def test_profiler_still_reports():

@@ -359,14 +359,34 @@ def reference_text(tri: RunCountTriangle, fmt: str, method: str) -> str:
     return "\n".join(sep.join([str(n), *counts]) + end for n, counts in rows)
 
 
+def at_chunk_boundaries(test):
+    """The test with an example per format at each n_max whose last row holds 64, 65, 128 or 129 counts."""
+    for n_max in (65, 66, 129, 130):
+        for fmt in ("json", "tsv", "latex"):
+            test = example(tri=build_triangle(n_max), fmt=fmt, method="recurrence")(test)
+    return test
+
+
 @given(
-    tri=st.integers(2, 60).map(build_triangle),
+    tri=st.integers(2, 140).map(build_triangle),
     fmt=st.sampled_from(["json", "tsv", "latex"]),
     method=st.sampled_from(["recurrence", "closed", "series", "brute"]),
 )
 @example(tri=TestCountsPastTheDigitLimit.HUGE, fmt="json", method="closed")
 @example(tri=TestCountsPastTheDigitLimit.HUGE, fmt="tsv", method="recurrence")
 @example(tri=TestCountsPastTheDigitLimit.HUGE, fmt="latex", method="recurrence")
+@at_chunk_boundaries
 def test_streamed_triangle_is_byte_identical_to_the_reference(tri, fmt, method):
     params = {"method": method} if fmt == "json" else {}
     assert "".join(encode("triangle", fmt, tri, **params)) == reference_text(tri, fmt, method)
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "latex"])
+def test_no_triangle_chunk_holds_more_than_64_counts(fmt):
+    # every count is MARK, whose digits no label, n_max or layout text holds, so a chunk's counts are its MARKs
+    mark = "987654321987654321"
+    tri = RunCountTriangle(200, tuple((int(mark),) * (n - 1) for n in range(2, 201)))
+    params = {"method": "recurrence"} if fmt == "json" else {}
+    per_chunk = [chunk.count(mark) for chunk in encode("triangle", fmt, tri, **params)]
+    assert max(per_chunk) <= 64
+    assert sum(per_chunk) == sum(n - 1 for n in range(2, 201))
