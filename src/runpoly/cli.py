@@ -162,7 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _to_devnull(stream) -> None:
     """Point the stream at os.devnull, so that no later flush, ours or the interpreter's at exit, tries its buffered bytes again."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    fd = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(fd, stream.fileno())
+    os.close(fd)
 
 
 def _guard_stdout(write) -> None:

@@ -49,19 +49,27 @@ def ratio_to_text(p: int, q: int) -> str:
     return str(p) if q == 1 else f"{p}/{q}"
 
 
-@contextlib.contextmanager
-def _any_int_digits():
-    """Lift the int <-> str digit limit inside, restoring it after."""
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:  # an interpreter without the limit
-        yield
-        return
-    limit = get_limit()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
+class _any_int_digits(contextlib.ContextDecorator):
+    """Lift the int <-> str digit limit inside, restoring it after.
+
+    A plain class rather than @contextmanager, as encode enters it once per
+    chunk; the saved limits are a stack, so nested and recursive uses restore
+    in order.
+    """
+
+    def __init__(self):
+        self._saved = []
+
+    def __enter__(self):
+        if hasattr(sys, "get_int_max_str_digits"):  # an interpreter without the limit has nothing to lift
+            self._saved.append(sys.get_int_max_str_digits())
+            sys.set_int_max_str_digits(0)
+        return self
+
+    def __exit__(self, *exc):
+        if self._saved:
+            sys.set_int_max_str_digits(self._saved.pop())
+        return False
 
 
 @_any_int_digits()
@@ -418,17 +426,9 @@ def encode(kind: str, fmt: str, value, **params) -> Iterator[str]:
     encoder = ENCODERS[kind, fmt]
     with _any_int_digits():  # a _whole encoder makes its text here
         chunks = iter(encoder(value, **params) if fmt == "json" else encoder(value))
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:  # an interpreter without the limit
-        yield from chunks
-        return
-    while True:  # _any_int_digits unrolled: a triangle makes thousands of chunks
-        limit = get_limit()
-        sys.set_int_max_str_digits(0)
-        try:
+    while True:
+        with _any_int_digits():
             chunk = next(chunks, None)
-        finally:
-            sys.set_int_max_str_digits(limit)
         if chunk is None:
             return
         yield chunk

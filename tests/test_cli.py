@@ -827,6 +827,18 @@ def test_write_error_exits_two(entry, unbuffered, argv):
     assert proc.stderr.decode() == f"error: cannot write output: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
 
 
+def test_pointing_a_stream_at_devnull_leaves_no_descriptor_open(tmp_path):
+    with open(tmp_path / "out", "w") as stream:
+        free = os.open(os.devnull, os.O_RDONLY)
+        os.close(free)
+        cli._to_devnull(stream)
+        after = os.open(os.devnull, os.O_RDONLY)
+        os.close(after)
+        stream.write("dropped")
+    assert after == free
+    assert (tmp_path / "out").read_text() == ""
+
+
 # a library caller that makes the closed method fail an identity, then runs the process entry
 FAILING_IDENTITY = [sys.executable, "-c", (
     "from runpoly import cli, closedform\n"

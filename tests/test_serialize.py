@@ -297,6 +297,16 @@ class TestCountsPastTheDigitLimit:
         assert decode(json.loads(text)) == decoded(value)
         assert self.limit() == before
 
+    def test_nested_uses_restore_the_limit_in_order(self):
+        # one instance serves every call of a decorated function, so its saved limits are a stack
+        lift, before = _any_int_digits(), self.limit()
+        lifted = None if before is None else 0
+        with lift:
+            with lift:
+                assert self.limit() == lifted
+            assert self.limit() == lifted
+        assert self.limit() == before
+
     def test_the_cli_prints_a_series_past_the_limit(self, capsys):
         # P(14300, 2) = 2^14300 - 4 has 4305 digits
         with _any_int_digits():
