@@ -174,17 +174,18 @@ def atilde_shift_coeffs(k: int) -> Polynomial:
 def atilde_taylor_coeffs(k: int) -> tuple[Fraction, ...]:
     """The coefficients atilde_k(0..k), computed by both routes and compared.
 
-    Raises DualPathMismatchError if the closed formula and the Taylor-shift
-    route disagree anywhere.
+    Raises DualPathMismatchError, naming the first p where the closed formula
+    and the Taylor-shift route disagree.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     formula = _atilde_coeffs_formula(k)
     shifted = atilde_shift_coeffs(k)
     if formula != shifted:
-        paths = [[route.coefficient(j) for j in range(k + 1)] for route in (formula, shifted)]
+        top = max(formula.degree, shifted.degree)
+        p = next(p for p in range(top + 1) if formula.coefficient(p) != shifted.coefficient(p))
         raise DualPathMismatchError(
-            f"atilde coefficient paths disagree at k={k}: {paths[0]} vs {paths[1]}"
+            f"atilde_{k}({p}): closed formula {formula.coefficient(p)} != Taylor shift {shifted.coefficient(p)}"
         )
     return tuple(formula.coefficient(j) for j in range(k + 1))
 

@@ -255,8 +255,9 @@ class BivariatePolynomial(Immutable):
 
     nums maps exponent pairs (e1, e2) to nonzero integer numerators over den,
     in the reduced form above; BivariatePolynomial(("n", "s"), {(1, 0): 2,
-    (0, 1): -1}) is 2n - s.  An exponent other than a non-negative int
-    raises ValueError.  Polynomials compare and hash by value.
+    (0, 1): -1}) is 2n - s.  An exponent other than a non-negative int, or
+    two equal variable names, raises ValueError.  Polynomials compare and
+    hash by value.
     """
 
     __slots__ = ("vars", "nums", "den")
@@ -266,8 +267,11 @@ class BivariatePolynomial(Immutable):
         bad = next((e for e in terms if len(e) != 2 or not all(type(j) is int and j >= 0 for j in e)), None)
         if bad is not None:
             raise ValueError(f"exponents must be pairs of non-negative ints, got {bad!r}")
+        names = (str(vars[0]), str(vars[1]))
+        if names[0] == names[1]:
+            raise ValueError(f"the two variables must have different names, got {names!r}")
         nums, den = _over_lcm(terms.values())
-        self._set((str(vars[0]), str(vars[1])), dict(zip(terms, nums)), den)
+        self._set(names, dict(zip(terms, nums)), den)
 
     def _set(self, vars: tuple[str, str], nums: Mapping, den: int) -> BivariatePolynomial:
         """Bind the terms nums[e] / den for integer nums and den > 0, reduced."""

@@ -282,13 +282,8 @@ def phi_row_latex(p: Polynomial) -> str:
 
 
 def delta_latex(factors: tuple[tuple[int, int], ...]) -> str:
-    """The factored denominator, e.g. (1-4x)(1-3x)(1-2x)^2(1-x)^2."""
-    pieces = []
-    for c, e in factors:
-        c_text = "" if c == 1 else str(c)
-        base = f"(1-{c_text}x)"
-        pieces.append(base if e == 1 else f"{base}^{e}")
-    return "".join(pieces)
+    """The factored denominator, e.g. (1-4x)(1-3x)(1-2x)^2(1-x)^2; a power from 10 up is braced."""
+    return "".join(_power_text(f"(1-{'' if c == 1 else c}x)", e) for c, e in factors)
 
 
 def series_to_latex(ts: TruncatedSeries) -> str:

@@ -2,11 +2,14 @@
 
 Every check recomputes its subject through the public module entry points
 (module-qualified calls, so test harnesses can substitute corrupted families)
-and compares exact values; a check that raises is reported as failed rather
-than aborting the battery.  A rational series coefficient is compared as its
-integer numerator, cross-multiplied by the denominators on both sides, and is
-made a Fraction only to write a failure detail.  Nothing here is allowed to tolerate approximate
-agreement.
+and compares exact values.  A check that raises is reported as failed rather
+than aborting the battery, except when it runs out of memory: that MemoryError
+leaves the battery, and the command reports it as such.  The checks run in the
+order of the one table of (name, body) pairs that ends run_verification.  A
+rational series coefficient is compared as its integer numerator,
+cross-multiplied by the denominators on both sides, and is made a Fraction
+only to write a failure detail.  Nothing here is allowed to tolerate
+approximate agreement.
 """
 
 from __future__ import annotations
@@ -36,15 +39,32 @@ def _run(name: str, body: Callable[[], str]) -> CheckResult:
         detail = body()
     except _CheckFailure as exc:
         return CheckResult(name, False, str(exc))
+    except MemoryError:  # not a failed identity: main reports it and exits 2
+        raise
     except Exception as exc:  # a crash is a failed check, not a crashed battery
         return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
     return CheckResult(name, True, detail)
 
 
+def _rows_match(tri: triangle.RunCountTriangle, route: str, rows) -> None:
+    """Fail at the first P(n, s) where one of the (n, row) pairs differs from the recurrence's row n."""
+    for n, row in rows:
+        for s, (got, want) in enumerate(zip(row, tri.row(n)), start=1):
+            if got != want:
+                raise _CheckFailure(f"P({n},{s}): {route} {got} != {want}")
+
+
+def _report(report: recurrences.IdentityReport) -> str:
+    """An IdentityReport as its check's detail, or as the check's failure when an identity fails."""
+    if not report.ok:
+        raise _CheckFailure(str(report))
+    return str(report)
+
+
 def run_verification(
     n_max: int = 20, s_max: int = 10, i_max: int = 10, k_max: int = 20
 ) -> list[CheckResult]:
-    """Run the full battery; one CheckResult per check, in a fixed order."""
+    """Run the full battery; one CheckResult per check, in the order of the table at the end."""
     bounds = (("n_max", n_max, 2), ("s_max", s_max, 1), ("i_max", i_max, 1), ("k_max", k_max, 0))
     for name, value, least in bounds:
         if value < least:
@@ -52,16 +72,7 @@ def run_verification(
 
     tri = triangle.build_triangle(n_max)
     ak_max = min(k_max, 12)  # the A_k, Taylor-path and PhiTilde_k checks stop at k = 12
-    results = []
 
-    def check(name):
-        def wrap(body):
-            results.append(_run(name, body))
-            return body
-
-        return wrap
-
-    @check("row-sums")
     def _row_sums():
         for n in range(2, n_max + 1):
             total = sum(tri.row(n))
@@ -69,26 +80,16 @@ def run_verification(
                 raise _CheckFailure(f"row n={n} sums to {total}, not {n}!")
         return f"sum_s P(n,s) = n! for 2 <= n <= {n_max}"
 
-    @check("brute-vs-recurrence")
     def _brute():
         cap = min(n_max, bruteforce.ENUMERATION_CAP - 1)
-        brute = bruteforce.brute_triangle(cap)
-        for n in range(2, cap + 1):
-            for s, (got, want) in enumerate(zip(brute.row(n), tri.row(n)), start=1):
-                if got != want:
-                    raise _CheckFailure(f"P({n},{s}): brute force {got} != {want}")
+        _rows_match(tri, "brute force", enumerate(bruteforce.brute_triangle(cap).rows, start=2))
         return f"exhaustive enumeration matches the recurrence for n <= {cap}"
 
-    @check("closed-vs-recurrence")
     def _closed():
-        for n in range(2, n_max + 1):
-            row = closedform.closed_row(n, min(n - 1, s_max))
-            for s, (got, want) in enumerate(zip(row, tri.row(n)), start=1):
-                if got != want:
-                    raise _CheckFailure(f"P({n},{s}): closed form {got} != {want}")
+        rows = ((n, closedform.closed_row(n, min(n - 1, s_max))) for n in range(2, n_max + 1))
+        _rows_match(tri, "closed form", rows)
         return f"explicit formula matches the recurrence for n <= {n_max}, s <= {s_max}"
 
-    @check("series-vs-recurrence")
     def _series():
         for s in range(1, s_max + 1):
             series = genfun.u_s_series(s, n_max)
@@ -99,40 +100,22 @@ def run_verification(
                     )
         return f"u_s coefficients match the recurrence for s <= {s_max}, n <= {n_max}"
 
-    @check("phi-recurrence")
-    def _phi_rec():
-        report = recurrences.verify_phi_recurrence(closedform.phi_polys(i_max), i_max)
-        if not report.ok:
-            raise _CheckFailure(str(report))
-        return str(report)
-
-    @check("psi-recurrence")
-    def _psi_rec():
-        report = recurrences.verify_psi_recurrence(closedform.psi_polys(i_max), i_max)
-        if not report.ok:
-            raise _CheckFailure(str(report))
-        return str(report)
-
-    @check("atilde-divisibility")
     def _divisibility():
         for k in range(k_max + 1):
             genfun.atilde_shift_coeffs(k)  # raises NonzeroRemainderError on failure
         return f"(1+z)^(k+1) divides ATilde_k for k <= {k_max}"
 
-    @check("wz-normalization")
     def _wz():
         for k in range(k_max + 1):
             if not genfun.verify_wz_sum(k):
                 raise _CheckFailure(f"sum != 4^k at k={k}")
         return f"normalization sums equal 4^k for k <= {k_max}"
 
-    @check("atilde-dual-path")
     def _dual():
         for k in range(ak_max + 1):
             genfun.atilde_taylor_coeffs(k)  # raises DualPathMismatchError on failure
         return f"closed formula and Taylor shift agree for k <= {ak_max}"
 
-    @check("a-k-series")
     def _ak_series():
         for k in range(ak_max + 1):
             series = genfun.A_k_gf(k).series(40)
@@ -142,7 +125,6 @@ def run_verification(
                     raise _CheckFailure(f"A_{k} series at z^{n}: {series.coefficient(n)} != {want}")
         return f"A_k series matches the a_k polynomials for k <= {ak_max}, n <= 40"
 
-    @check("phi-series-product")
     def _phi_series():
         parts = closedform.phi_polys(i_max)
         for n in range(2, min(n_max, 10) + 1):
@@ -156,13 +138,11 @@ def run_verification(
                         raise _CheckFailure(f"x^{i} coefficient wrong at n={n}, t={t}")
         return f"product form reproduces every phi part for i <= {i_max}"
 
-    @check("partial-fractions")
     def _partial():
         for s in range(1, s_max + 1):
             genfun.check_partial_fractions(s)  # raises DualPathMismatchError on failure
         return f"partial fractions clear back to Phi_s for s <= {s_max}"
 
-    @check("degree-claims")
     def _degrees():
         for i, psi in enumerate(closedform.psi_polys(i_max)):
             if psi.part.degree_in(0) != i // 2:
@@ -177,4 +157,19 @@ def run_verification(
                 raise _CheckFailure(f"deg PhiTilde_{k} wrong")
         return "n-degrees, Phi/Delta degrees, and PhiTilde degrees all as claimed"
 
-    return results
+    checks = (
+        ("row-sums", _row_sums),
+        ("brute-vs-recurrence", _brute),
+        ("closed-vs-recurrence", _closed),
+        ("series-vs-recurrence", _series),
+        ("phi-recurrence", lambda: _report(recurrences.verify_phi_recurrence(closedform.phi_polys(i_max), i_max))),
+        ("psi-recurrence", lambda: _report(recurrences.verify_psi_recurrence(closedform.psi_polys(i_max), i_max))),
+        ("atilde-divisibility", _divisibility),
+        ("wz-normalization", _wz),
+        ("atilde-dual-path", _dual),
+        ("a-k-series", _ak_series),
+        ("phi-series-product", _phi_series),
+        ("partial-fractions", _partial),
+        ("degree-claims", _degrees),
+    )
+    return [_run(name, body) for name, body in checks]

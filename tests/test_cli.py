@@ -247,6 +247,34 @@ def raise_pole_order(monkeypatch, by=1):
     monkeypatch.setattr(genfun, "delta_factors", lambda s: tuple((c, e + by * (c == 1)) for c, e in real(s)))
 
 
+def bump_q3(monkeypatch):
+    real = closedform.psi_polys  # Q_3 + n^2, of n-degree 2 where the paper says 1
+
+    def bumped(i_max):
+        family = real(i_max)
+        n_squared = BivariatePolynomial(("n", "s"), {(2, 0): 1})
+        family[3] = PsiPolynomial(3, family[3].part + n_squared)
+        return family
+
+    monkeypatch.setattr(closedform, "psi_polys", bumped)
+
+
+def drop_last_delta_factor(monkeypatch):
+    # Delta_s without its last pole (1-x)^e for s >= 2; PhiTilde_k's one factor (1+z)^(k+1) is kept
+    real = genfun._expand_factors
+    monkeypatch.setattr(genfun, "_expand_factors", lambda var, factors: real(var, factors[:-1] or factors))
+
+
+def times_z_phi_tilde_2(monkeypatch):
+    real = genfun.phi_tilde_poly  # PhiTilde_2 * z, of degree 5 where the paper says 4
+    monkeypatch.setattr(genfun, "phi_tilde_poly", lambda k: real(k) * Polynomial.monomial("z", 1) if k == 2 else real(k))
+
+
+def bump_atilde_formula(monkeypatch):
+    real = genfun._atilde_coeffs_formula  # atilde_1(0) + 1 by the closed formula only
+    monkeypatch.setattr(genfun, "_atilde_coeffs_formula", lambda k: real(k) + int(k == 1))
+
+
 # Each mutant of a family or of the triangle, and every check it fails, with
 # the failure detail that names it.
 MUTANTS = {
@@ -305,6 +333,22 @@ MUTANTS = {
         name: "NonzeroRemainderError: remainder has 1 at (1+z)^0"
         for name in ("series-vs-recurrence", "atilde-divisibility", "atilde-dual-path",
                      "a-k-series", "partial-fractions", "degree-claims")
+    }),
+    "q3-plus-n-squared": (bump_q3, {
+        "psi-recurrence": "psi-recurrence: FAILED at i = 3, 4; lhs - rhs at i = 3 has lowest term -1*n^0*s^1",
+        "degree-claims": "deg_n Q_3 = 2 != 1",
+    }),
+    "delta-without-last-factor": (drop_last_delta_factor, {
+        "partial-fractions": "DualPathMismatchError: Phi_3 at x^5: cleared blocks give 8 != -12",
+        "degree-claims": "deg Delta_2 wrong",
+    }),
+    "phi-tilde-2-times-z": (times_z_phi_tilde_2, {
+        "a-k-series": "A_2 series at z^2: 0 != 3/8",
+        "degree-claims": "deg PhiTilde_2 wrong",
+    }),
+    "atilde-formula-plus-one": (bump_atilde_formula, {
+        name: "DualPathMismatchError: atilde_1(0): closed formula 5/2 != Taylor shift 3/2"
+        for name in ("series-vs-recurrence", "atilde-dual-path", "a-k-series", "partial-fractions", "degree-claims")
     }),
 }
 
@@ -698,16 +742,24 @@ def test_import_leaves_out_dataclasses_and_inspect():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
-@pytest.mark.parametrize("exc, message", [
-    (KeyboardInterrupt, "interrupted"),
-    (MemoryError, "error: out of memory; try smaller arguments"),
-], ids=["KeyboardInterrupt", "MemoryError"])
-def test_ctrl_c_exits_two(capsys, monkeypatch, exc, message):
-    def interrupted(n_max):
+TABLE = ("table", "--n-max", "5")
+VERIFY = ("verify", "--n-max", "8", "--s-max", "4", "--i-max", "4", "--k-max", "3", "--format", "tsv")
+
+
+@pytest.mark.parametrize("exc, message, argv", [
+    (KeyboardInterrupt, "interrupted", TABLE),
+    (MemoryError, "error: out of memory; try smaller arguments", TABLE),
+    (KeyboardInterrupt, "interrupted", VERIFY),
+    (MemoryError, "error: out of memory; try smaller arguments", VERIFY),
+], ids=["KeyboardInterrupt", "MemoryError", "verify-KeyboardInterrupt", "verify-MemoryError"])
+def test_ctrl_c_exits_two(capsys, monkeypatch, exc, message, argv):
+    # inside a verify check too, where any other exception is a failed check
+    def interrupted(*args):
         raise exc
 
     monkeypatch.setitem(cli.METHODS, "recurrence", interrupted)
-    code, out, err = run_cli(capsys, "table", "--n-max", "5")
+    monkeypatch.setattr(genfun, "check_partial_fractions", interrupted)
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"{message}\n")
 
 

@@ -112,6 +112,9 @@ class TestJsonDocs:
             (doc_to_polynomial, {"kind": "polynomial"}),
             (doc_to_series, {"kind": "series", "variable": "x", "order": "2", "coefficients": []}),
             (doc_to_bivariate, {"kind": "polynomial", "variables": ["n", "s"], "terms": [[1, 0, "1"], [1, 0, "2"]]}),
+            (doc_to_bivariate, {"kind": "polynomial", "variables": ["n", "n"], "terms": [[1, 0, "1"], [0, 1, "-1"]]}),
+            (doc_to_bivariate, {"kind": "polynomial", "variables": ["n"], "terms": [[1, 0, "1"]]}),
+            (doc_to_bivariate, {"kind": "polynomial", "variables": ["n", "s", "t"], "terms": [[1, 0, "1"]]}),
         ],
     )
     def test_malformed_doc_rejected(self, decode, doc):
@@ -224,6 +227,11 @@ class TestLatex:
     def test_delta_factored_form(self):
         assert delta_latex(delta_factors(4)) == "(1-4x)(1-3x)(1-2x)^2(1-x)^2"
         assert delta_latex(delta_factors(1)) == "(1-x)"
+        # a power from 10 up is braced, as _power_text braces every other power
+        assert delta_latex(delta_factors(20)) == (
+            "(1-20x)(1-19x)(1-18x)^2(1-17x)^2(1-16x)^3(1-15x)^3(1-14x)^4(1-13x)^4(1-12x)^5(1-11x)^5"
+            "(1-10x)^6(1-9x)^6(1-8x)^7(1-7x)^7(1-6x)^8(1-5x)^8(1-4x)^9(1-3x)^9(1-2x)^{10}(1-x)^{10}"
+        )
 
     def test_phi_rows_of_other_polynomials(self):
         assert phi_row_latex(Polynomial("x", [1, 0, -1])) == "1(-x^2+1)"
