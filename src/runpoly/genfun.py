@@ -13,8 +13,12 @@ k+2.  The atilde coefficients are computed by two independent routes
 (closed formula and that Taylor shift) which must agree.
 
 u_s is the sum of the partial-fraction blocks B_{i,k}(x, s-i)/(1-(s-i)x)^(k+1).
-Every denominator here is a product of linear factors 1 - c*x with integer
-c, and nothing is divided by anything else.
+phi_s_poly clears them over Delta_s by products, and u_s_series sums them
+as series; neither is checked against the other.  Every Phi_s is held
+instead to the run recurrence, as an identity in x, by
+recurrences.verify_u_recurrence.  Every denominator here is a product of
+linear factors 1 - c*x with integer c, and nothing is divided by anything
+else.
 """
 
 from __future__ import annotations
@@ -293,28 +297,6 @@ def phi_s_poly(s: int) -> Polynomial:
     if phi.degree != phi_degree(s):
         raise DegreeMismatchError(f"deg Phi_{s} = {phi.degree}, expected {phi_degree(s)}")
     return phi
-
-
-def check_partial_fractions(s: int) -> None:
-    """Clear the blocks over Delta_s as u_s_series(s, d) times Delta_s and compare with Phi_s.
-
-    The product is cut after x^d, d = max(deg Phi_s, deg Delta_s + 1), which is
-    exact: B_{i,k} has degree k+2, so each cleared block has degree at most
-    deg Delta_s + 1.  That side takes Delta_s from RationalGF.denominator() and
-    the poles by division, never phi_s_poly's pass of products.  Raises
-    DualPathMismatchError naming the lowest coefficient that differs.
-    """
-    want, delta = phi_s_poly(s), u_s_gf(s).denominator()
-    d = max(want.degree, delta.degree + 1)
-    series = u_s_series(s, d)
-    total = Polynomial._over("x", _product(series.nums, delta.nums, d + 1), series.den)
-    if total == want:
-        return
-    for j in range(d + 1):
-        if total.coefficient(j) != want.coefficient(j):
-            raise DualPathMismatchError(
-                f"Phi_{s} at x^{j}: cleared blocks give {total.coefficient(j)} != {want.coefficient(j)}"
-            )
 
 
 def u_s_gf(s: int) -> RationalGF:

@@ -226,14 +226,6 @@ class Polynomial(Immutable):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> Polynomial:
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = Polynomial.constant(self.var, 1)
-        for _ in range(n):  # the powers taken are of short bases, (1+z)^(k+1) and the like
-            result = result * self
-        return result
-
     def evaluate(self, a) -> Fraction:
         """Exact Horner evaluation at the point a = p/q, in integers."""
         p, q = _ratio(a)

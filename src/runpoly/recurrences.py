@@ -1,16 +1,22 @@
-"""Exact verification of the phi/psi polynomial recurrences.
+"""Exact verification of the phi, psi and u_s recurrences.
 
-The closed-form families are never constructed from these recurrences; the
-recurrences are the independent check.  Both identities hold with a common
-non-polynomial prefactor (K(t) resp. K(s-i)) that cancels from every term, so
-each check reduces to an exact bivariate polynomial identity: the difference
-of the two sides must have no terms at all.
+The closed-form families and Phi_s are never constructed from these
+recurrences; the recurrences are the independent check.  The phi and psi
+identities hold with a common non-polynomial prefactor (K(t) resp. K(s-i))
+that cancels from every term, so each reduces to an exact bivariate
+polynomial identity: the difference of the two sides must have no terms at
+all.  The u_s identity is the run recurrence summed over n, cleared of its
+denominators by Delta_s into integer polynomials in x.
 """
 
 from __future__ import annotations
 
+from math import lcm
+
+from . import genfun
 from .closedform import PsiPolynomial
-from .poly import BivariatePolynomial, Immutable
+from .poly import BivariatePolynomial, Immutable, Polynomial
+from .poly import _linear_product, _plus, _product, _times_linear
 
 
 class IdentityReport(Immutable):
@@ -83,3 +89,41 @@ def verify_psi_recurrence(psi_family: list[PsiPolynomial], i_max: int) -> Identi
         return (s - i) * q_i, rhs
 
     return _check("psi-recurrence", [q.part for q in psi_family], i_max, sides)
+
+
+def verify_u_recurrence(s_max: int) -> str:
+    """Check (1-sx)u_s = 2[s=1]x^2 + 2x u_{s-1} + (1-s)x u_{s-2} + x^2 u'_{s-2} for 1 <= s <= s_max.
+
+    This is the run recurrence summed over n for u_s = Phi_s/Delta_s =
+    sum_n P(n,s) x^n, with u_{-1} = 0, so it holds for every s <= s_max if
+    and only if every such Phi_s is right for every n.  The term 2x^2 of s = 1
+    is 2x u_0 with u_0 = x: P(1,0) = 1 gives P(2,s) = 2[s=1] by the
+    recurrence, and at s = 2 the two u_0 terms cancel.  Both sides are
+    multiplied by Delta_s, which every other denominator divides:
+    Delta_s/Delta_{s-1} = prod (1-cx) over c <= s with c = s mod 2, and
+    Delta_s u'_{s-2} = prod_{c<=s} (1-cx) (Phi'_{s-2} + Phi_{s-2} sum_c
+    e_c c/(1-cx)) over the factors (c, e_c) of Delta_{s-2}.  The three Phi_j,
+    read through genfun.phi_s_poly, are brought over the lcm of their dens,
+    so both sides are integer lists, and every cofactor is multiplied out in
+    small ints before it meets a Phi_j.  Returns the passing detail; raises
+    ArithmeticError naming the first s and the lowest x^j where the sides
+    differ, with both values.
+    """
+    edge = {0: Polynomial("x", [0, 1]), -1: Polynomial("x")}  # u_0 = x and u_{-1} = 0, over Delta_0 = 1
+    for s in range(1, s_max + 1):
+        phis = [genfun.phi_s_poly(j) if j >= 1 else edge[j] for j in (s, s - 1, s - 2)]
+        den = lcm(*(p.den for p in phis))
+        cur, prev, prev2 = ([c * (den // p.den) for c in p.nums] for p in phis)
+        head = [0, *(2 * v for v in _product(prev, _linear_product((1, -c) for c in range(s, 0, -2))))]
+        full = _linear_product((1, -c) for c in range(1, s + 1))  # Delta_s/Delta_{s-2}
+        small = [(1 - s) * v for v in full]  # (1-s) full + x full sum_c e_c c/(1-cx), in small ints
+        for c, e in genfun.delta_factors(s - 2) if s >= 3 else ():
+            small = _plus(small, [0, *(e * c * v for v in _linear_product((1, -d) for d in range(1, s + 1) if d != c))])
+        tail = [0, *_plus(_product(prev2, small), [0, *_product([j * c for j, c in enumerate(prev2)][1:], full)])]
+        lhs = Polynomial._over("x", _times_linear(cur, 1, -s), den)
+        rhs = Polynomial._over("x", _plus(head, tail), den)
+        if lhs != rhs:
+            j = next(j for j in range(max(lhs.degree, rhs.degree) + 1) if lhs.coefficient(j) != rhs.coefficient(j))
+            a, b = lhs.coefficient(j), rhs.coefficient(j)
+            raise ArithmeticError(f"u_{s} at x^{j}, times Delta_{s}: left side {a} != right side {b}")
+    return f"u-recurrence: all identities hold for 1 <= s <= {s_max}"

@@ -95,9 +95,7 @@ def run_verification(
             series = genfun.u_s_series(s, n_max)
             for n in range(2, n_max + 1):
                 if series.nums[n] != tri.value(n, s) * series.den:
-                    raise _CheckFailure(
-                        f"P({n},{s}): series {series.coefficient(n)} != {tri.value(n, s)}"
-                    )
+                    raise _CheckFailure(f"P({n},{s}): series {series.coefficient(n)} != {tri.value(n, s)}")
         return f"u_s coefficients match the recurrence for s <= {s_max}, n <= {n_max}"
 
     def _divisibility():
@@ -135,26 +133,23 @@ def run_verification(
                     # series.nums[i] / series.den == K(t) * part(n, t), cross-multiplied
                     want = part.evaluate(n, t)
                     if series.nums[i] * w.denominator * want.denominator != w.numerator * want.numerator * series.den:
-                        raise _CheckFailure(f"x^{i} coefficient wrong at n={n}, t={t}")
+                        got = series.coefficient(i)
+                        raise _CheckFailure(f"x^{i} coefficient at n={n}, t={t}: product form {got} != {w * want}")
         return f"product form reproduces every phi part for i <= {i_max}"
 
-    def _partial():
+    def _degree_claims():  # (what, its degree, the claimed degree), in the order they are checked
+        for i, psi in enumerate(closedform.psi_polys(i_max)):
+            yield f"deg_n Q_{i}", psi.part.degree_in(0), i // 2
         for s in range(1, s_max + 1):
-            genfun.check_partial_fractions(s)  # raises DualPathMismatchError on failure
-        return f"partial fractions clear back to Phi_s for s <= {s_max}"
+            yield f"deg Delta_{s}", genfun.u_s_gf(s).denominator().degree, genfun.delta_degree(s)
+            yield f"deg Phi_{s}", genfun.phi_s_poly(s).degree, genfun.phi_degree(s)
+        for k in range(ak_max + 1):
+            yield f"deg PhiTilde_{k}", genfun.phi_tilde_poly(k).degree, k + 2
 
     def _degrees():
-        for i, psi in enumerate(closedform.psi_polys(i_max)):
-            if psi.part.degree_in(0) != i // 2:
-                raise _CheckFailure(f"deg_n Q_{i} = {psi.part.degree_in(0)} != {i // 2}")
-        for s in range(1, s_max + 1):
-            if genfun.u_s_gf(s).denominator().degree != genfun.delta_degree(s):
-                raise _CheckFailure(f"deg Delta_{s} wrong")
-            if genfun.phi_s_poly(s).degree != genfun.phi_degree(s):
-                raise _CheckFailure(f"deg Phi_{s} wrong")
-        for k in range(ak_max + 1):
-            if genfun.phi_tilde_poly(k).degree != k + 2:
-                raise _CheckFailure(f"deg PhiTilde_{k} wrong")
+        for what, got, want in _degree_claims():
+            if got != want:
+                raise _CheckFailure(f"{what} = {got} != {want}")
         return "n-degrees, Phi/Delta degrees, and PhiTilde degrees all as claimed"
 
     checks = (
@@ -169,7 +164,7 @@ def run_verification(
         ("atilde-dual-path", _dual),
         ("a-k-series", _ak_series),
         ("phi-series-product", _phi_series),
-        ("partial-fractions", _partial),
+        ("u-recurrence", lambda: recurrences.verify_u_recurrence(s_max)),
         ("degree-claims", _degrees),
     )
     return [_run(name, body) for name, body in checks]

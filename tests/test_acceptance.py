@@ -32,7 +32,7 @@ from runpoly.genfun import (
     verify_wz_sum,
 )
 from runpoly.poly import BivariatePolynomial, Polynomial
-from runpoly.recurrences import verify_phi_recurrence, verify_psi_recurrence
+from runpoly.recurrences import verify_phi_recurrence, verify_psi_recurrence, verify_u_recurrence
 from runpoly.triangle import build_triangle
 
 
@@ -101,6 +101,10 @@ def test_criterion_5_identity_suite():
     phi_report = verify_phi_recurrence(phi_polys(12), 12)
     if not phi_report.ok:
         failures.append(str(phi_report))
+    try:
+        verify_u_recurrence(12)
+    except ArithmeticError as exc:
+        failures.append(f"u-recurrence: {exc}")
     for k in range(31):
         p = atilde_poly(k)  # (1+z)^(k+1) divides it: it and its first k derivatives vanish at z = -1
         for _ in range(k + 1):
@@ -123,8 +127,8 @@ def test_criterion_5_identity_suite():
             for i, part in enumerate(parts):
                 if series.coefficient(i) != K(t) * part.evaluate(n, t):
                     failures.append(f"product series at n={n}, t={t}, i={i}")
-    report(5, "recurrence, divisibility, normalization, dual-path, and product-series "
-              "identities all hold", failures, started, budget=30)
+    report(5, "recurrence, u-recurrence, divisibility, normalization, dual-path, and "
+              "product-series identities all hold", failures, started, budget=30)
 
 
 def test_criterion_6_degree_claims():

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import runpoly
-from runpoly import bruteforce, cli, closedform, genfun, triangle, verification
+from runpoly import bruteforce, cli, closedform, genfun, recurrences, triangle, verification
 from runpoly.closedform import PsiPolynomial
 from runpoly.genfun import RationalGF
 from runpoly.poly import BivariatePolynomial, Polynomial
@@ -280,22 +280,24 @@ def bump_atilde_formula(monkeypatch):
 MUTANTS = {
     "selector-sign": (flip_odd_selector_signs, {
         "closed-vs-recurrence": "P(3,2): closed form 12 != 4",
-        "phi-series-product": "x^1 coefficient wrong at n=2, t=1",
+        "phi-series-product": "x^1 coefficient at n=2, t=1: product form -4 != 4",
         "series-vs-recurrence": "P(2,2): series 8 != 0",
+        "u-recurrence": "ArithmeticError: u_2 at x^2, times Delta_2: left side 8 != right side 0",
         "phi-recurrence": "phi-recurrence: FAILED at i = 1, 2, 3, 4; lhs - rhs at i = 1 has lowest term -4*n^0*t^0",
         "psi-recurrence": "psi-recurrence: FAILED at i = 1, 2, 3, 4; lhs - rhs at i = 1 has lowest term -4*n^0*s^0",
     }),
     "a-value": (bump_a_value, {
         "a-k-series": "A_1 series at z^5: -1 != 0",
-        "phi-series-product": "x^2 coefficient wrong at n=5, t=1",
+        "phi-series-product": "x^2 coefficient at n=5, t=1: product form 5/2 != 1/2",
         "closed-vs-recurrence": "P(5,3): closed form 60 != 58",
     }),
     "phi-tilde-numerator": (bump_phi_tilde_numerator, {
         "a-k-series": "A_1 series at z^3: 1/2 != 0",
         "series-vs-recurrence": "P(3,3): series 1 != 0",
+        "u-recurrence": "ArithmeticError: u_3 at x^3, times Delta_3: left side 1 != right side 0",
     }),
     "phi-part": (bump_phi_part, {
-        "phi-series-product": "x^2 coefficient wrong at n=2, t=1",
+        "phi-series-product": "x^2 coefficient at n=2, t=1: product form 7/2 != 4",
         "phi-recurrence": "phi-recurrence: FAILED at i = 2, 3, 4; lhs - rhs at i = 2 has lowest term -1/2*n^0*t^0",
         "psi-recurrence": "psi-recurrence: FAILED at i = 2, 3, 4; lhs - rhs at i = 2 has lowest term -1/2*n^0*s^0",
     }),
@@ -306,49 +308,49 @@ MUTANTS = {
         "closed-vs-recurrence": "P(5,2): closed form 28 != 29",
     }),
     "phi-times-two": (lambda monkeypatch: scale_phi(monkeypatch, 2), {
-        "partial-fractions": "DualPathMismatchError: Phi_1 at x^2: cleared blocks give 2 != 4",
+        "u-recurrence": "ArithmeticError: u_1 at x^2, times Delta_1: left side 4 != right side 2",
     }),
     "phi-times-x": (lambda monkeypatch: scale_phi(monkeypatch, Polynomial.monomial("x", 1)), {
-        "partial-fractions": "DualPathMismatchError: Phi_1 at x^2: cleared blocks give 2 != 0",
-        "degree-claims": "deg Phi_1 wrong",
+        "u-recurrence": "ArithmeticError: u_1 at x^2, times Delta_1: left side 0 != right side 2",
+        "degree-claims": "deg Phi_1 = 3 != 2",
     }),
     "phi-4-plus-x10": (bump_phi_4, {
-        "partial-fractions": "DualPathMismatchError: Phi_4 at x^10: cleared blocks give 0 != 1",
-        "degree-claims": "deg Phi_4 wrong",
+        "u-recurrence": "ArithmeticError: u_4 at x^10, times Delta_4: left side 1 != right side 0",
+        "degree-claims": "deg Phi_4 = 10 != 7",
     }),
     "block-at-double-pole": (bump_block, {
         "series-vs-recurrence": "P(2,4): series 1 != 0",
+        "u-recurrence": "ArithmeticError: u_4 at x^2, times Delta_4: left side 1 != right side 0",
     }),
     "pole-order": (raise_pole_order, {
         "series-vs-recurrence": "ValueError: k must be in 0..0 for i=0, got 1",
-        "partial-fractions": "ValueError: k must be in 0..0 for i=0, got 1",
+        "u-recurrence": "ValueError: k must be in 0..0 for i=0, got 1",
         "degree-claims": "ValueError: k must be in 0..0 for i=0, got 1",
     }),
     "pole-order-by-two": (lambda monkeypatch: raise_pole_order(monkeypatch, 2), {
         "series-vs-recurrence": "ValueError: k must be in 0..0 for i=0, got 2",
-        "partial-fractions": "ValueError: k must be in 0..0 for i=0, got 2",
+        "u-recurrence": "ValueError: k must be in 0..0 for i=0, got 2",
         "degree-claims": "ValueError: k must be in 0..0 for i=0, got 2",
     }),
     "atilde-not-divisible": (bump_atilde, {
         name: "NonzeroRemainderError: remainder has 1 at (1+z)^0"
         for name in ("series-vs-recurrence", "atilde-divisibility", "atilde-dual-path",
-                     "a-k-series", "partial-fractions", "degree-claims")
+                     "a-k-series", "u-recurrence", "degree-claims")
     }),
     "q3-plus-n-squared": (bump_q3, {
         "psi-recurrence": "psi-recurrence: FAILED at i = 3, 4; lhs - rhs at i = 3 has lowest term -1*n^0*s^1",
         "degree-claims": "deg_n Q_3 = 2 != 1",
     }),
     "delta-without-last-factor": (drop_last_delta_factor, {
-        "partial-fractions": "DualPathMismatchError: Phi_3 at x^5: cleared blocks give 8 != -12",
-        "degree-claims": "deg Delta_2 wrong",
+        "degree-claims": "deg Delta_2 = 1 != 2",
     }),
     "phi-tilde-2-times-z": (times_z_phi_tilde_2, {
         "a-k-series": "A_2 series at z^2: 0 != 3/8",
-        "degree-claims": "deg PhiTilde_2 wrong",
+        "degree-claims": "deg PhiTilde_2 = 5 != 4",
     }),
     "atilde-formula-plus-one": (bump_atilde_formula, {
         name: "DualPathMismatchError: atilde_1(0): closed formula 5/2 != Taylor shift 3/2"
-        for name in ("series-vs-recurrence", "atilde-dual-path", "a-k-series", "partial-fractions", "degree-claims")
+        for name in ("series-vs-recurrence", "atilde-dual-path", "a-k-series", "u-recurrence", "degree-claims")
     }),
 }
 
@@ -436,7 +438,7 @@ class TestVerify:
         )
         assert code == 1
         failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
-        assert "series-vs-recurrence" in failed or "partial-fractions" in failed
+        assert "u-recurrence" in failed
 
     def test_non_integer_series_table_is_a_verification_failure(self, capsys, monkeypatch):
         # the series reads the blocks; a third of those of u_1 is not integral
@@ -481,15 +483,15 @@ class TestVerify:
         assert not check.passed
         assert check.detail == "A_1 series at z^3: 1 != 0"
 
-    def test_partial_fraction_mismatch_names_coefficient(self, monkeypatch):
+    def test_u_recurrence_mismatch_names_coefficient(self, monkeypatch):
         real = genfun.phi_s_poly
         monkeypatch.setattr(
             genfun, "phi_s_poly", lambda s: real(s) + Polynomial.monomial("x", 2, int(s == 2))
         )
         results = {r.name: r for r in verification.run_verification(6, 2, 1, 1)}
-        check = results["partial-fractions"]
+        check = results["u-recurrence"]
         assert not check.passed
-        assert check.detail == "DualPathMismatchError: Phi_2 at x^2: cleared blocks give 0 != 1"
+        assert check.detail == "ArithmeticError: u_2 at x^2, times Delta_2: left side 1 != right side 0"
 
     def test_recurrence_failure_names_lowest_term(self, monkeypatch):
         real = closedform.psi_polys
@@ -523,7 +525,7 @@ VERIFY_CHECKS = [
     ("atilde-dual-path", "closed formula and Taylor shift agree for k <= 0"),
     ("a-k-series", "A_k series matches the a_k polynomials for k <= 0, n <= 40"),
     ("phi-series-product", "product form reproduces every phi part for i <= 1"),
-    ("partial-fractions", "partial fractions clear back to Phi_s for s <= 1"),
+    ("u-recurrence", "u-recurrence: all identities hold for 1 <= s <= 1"),
     ("degree-claims", "n-degrees, Phi/Delta degrees, and PhiTilde degrees all as claimed"),
 ]
 
@@ -626,7 +628,7 @@ def test_families_output_matches_benchmark_sha256(capsys, argv):
 # every check's detail, and each table every count.
 VERIFY_AND_TABLES_SHA256 = {
     ("verify", "--n-max", "20", "--s-max", "10", "--i-max", "10", "--k-max", "20", "--format", "json"):
-        "7fd54fa0255a18679bd3d252ce599916999fc3e52a4398be0c4f3f2c67f72f30",
+        "83b4725c8c0dde4b8aa8b62ed6a7a301dcefb27d8a9fbb120faecf97912e5520",
     ("table", "--method", "closed", "--n-max", "40", "--format", "json"):
         "1e1371131b2f25a92f3f995a26ecb00dabd955cececdebd3285badbee00b51b9",
     ("table", "--n-max", "400", "--format", "tsv"):
@@ -758,7 +760,7 @@ def test_ctrl_c_exits_two(capsys, monkeypatch, exc, message, argv):
         raise exc
 
     monkeypatch.setitem(cli.METHODS, "recurrence", interrupted)
-    monkeypatch.setattr(genfun, "check_partial_fractions", interrupted)
+    monkeypatch.setattr(recurrences, "verify_u_recurrence", interrupted)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"{message}\n")
 

@@ -162,7 +162,7 @@ class TestPhiParts:
         a, b = [Fraction(0)] * (order + 1), [Fraction(0)] * (order + 1)
         for k in range(order // 2 + 1):
             a[2 * k], b[2 * k] = a_value(k, n), b_value(k, t)
-        product = Polynomial("x", a) * Polynomial("x", b) * Polynomial("x", [1, -1]) ** 2 * K(t)
+        product = Polynomial("x", a) * Polynomial("x", b) * Polynomial("x", [1, -2, 1]) * K(t)  # times (1-x)^2
         assert phi_generating_series(n, t, order) == TruncatedSeries("x", order, product.coeffs)
 
 

@@ -1,8 +1,11 @@
+import re
+
 import pytest
 
+from runpoly import genfun
 from runpoly.closedform import NT_VARS, PsiPolynomial, phi_polys, psi_polys
-from runpoly.poly import BivariatePolynomial
-from runpoly.recurrences import verify_phi_recurrence, verify_psi_recurrence
+from runpoly.poly import BivariatePolynomial, Polynomial
+from runpoly.recurrences import verify_phi_recurrence, verify_psi_recurrence, verify_u_recurrence
 
 
 class TestPhiRecurrence:
@@ -58,3 +61,27 @@ class TestPsiRecurrence:
         report = verify_psi_recurrence(family, 10)
         assert 2 in report.failures
         assert 7 in report.failures
+
+
+class TestURecurrence:
+    def test_holds_through_s_30(self):
+        assert verify_u_recurrence(30) == "u-recurrence: all identities hold for 1 <= s <= 30"
+
+    def test_reads_phi_through_the_module(self, monkeypatch):
+        real = genfun.phi_s_poly
+        monkeypatch.setattr(genfun, "phi_s_poly", lambda s: real(s) + Polynomial.monomial("x", 4, int(s == 4)))
+        detail = "u_4 at x^4, times Delta_4: left side 1 != right side 0"
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(detail)}$"):
+            verify_u_recurrence(6)
+
+    @pytest.mark.parametrize("s", range(1, 9))
+    def test_bumped_phi_fails_at_its_s(self, monkeypatch, s):
+        # Phi_s + x^d, d = deg Phi_s, adds 1 to the left side (1-sx)Phi_s at x^d and
+        # nothing below it; Phi_{s+1} and Phi_{s+2} read it only on the right side
+        real = genfun.phi_s_poly
+        phi, d = real(s), genfun.phi_degree(s)
+        monkeypatch.setattr(genfun, "phi_s_poly", lambda j: real(j) + Polynomial.monomial("x", d, int(j == s)))
+        want = phi.coefficient(d) - s * phi.coefficient(d - 1)
+        detail = f"u_{s} at x^{d}, times Delta_{s}: left side {want + 1} != right side {want}"
+        with pytest.raises(ArithmeticError, match=f"^{re.escape(detail)}$"):
+            verify_u_recurrence(8)
