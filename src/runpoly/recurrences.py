@@ -107,7 +107,7 @@ def verify_u_recurrence(s_max: int) -> str:
     so both sides are integer lists, and every cofactor is multiplied out in
     small ints before it meets a Phi_j.  Returns the passing detail; raises
     ArithmeticError naming the first s and the lowest x^j where the sides
-    differ, with both values.
+    differ, with both values, left side first.
     """
     edge = {0: Polynomial("x", [0, 1]), -1: Polynomial("x")}  # u_0 = x and u_{-1} = 0, over Delta_0 = 1
     for s in range(1, s_max + 1):
@@ -124,6 +124,5 @@ def verify_u_recurrence(s_max: int) -> str:
         rhs = Polynomial._over("x", _plus(head, tail), den)
         if lhs != rhs:
             j = next(j for j in range(max(lhs.degree, rhs.degree) + 1) if lhs.coefficient(j) != rhs.coefficient(j))
-            a, b = lhs.coefficient(j), rhs.coefficient(j)
-            raise ArithmeticError(f"u_{s} at x^{j}, times Delta_{s}: left side {a} != right side {b}")
+            raise ArithmeticError(f"u_{s} at x^{j}, times Delta_{s}: {lhs.coefficient(j)} != {rhs.coefficient(j)}")
     return f"u-recurrence: all identities hold for 1 <= s <= {s_max}"

@@ -95,7 +95,9 @@ def run_verification(
             series = genfun.u_s_series(s, n_max)
             for n in range(2, n_max + 1):
                 if series.nums[n] != tri.value(n, s) * series.den:
-                    raise _CheckFailure(f"P({n},{s}): series {series.coefficient(n)} != {tri.value(n, s)}")
+                    raise _CheckFailure(
+                        f"P({n},{s}): series {series.coefficient(n)} != {tri.value(n, s)}"
+                    )
         return f"u_s coefficients match the recurrence for s <= {s_max}, n <= {n_max}"
 
     def _divisibility():
@@ -133,8 +135,7 @@ def run_verification(
                     # series.nums[i] / series.den == K(t) * part(n, t), cross-multiplied
                     want = part.evaluate(n, t)
                     if series.nums[i] * w.denominator * want.denominator != w.numerator * want.numerator * series.den:
-                        got = series.coefficient(i)
-                        raise _CheckFailure(f"x^{i} coefficient at n={n}, t={t}: product form {got} != {w * want}")
+                        raise _CheckFailure(f"x^{i} at n={n}, t={t}: product {series.coefficient(i)} != {w * want}")
         return f"product form reproduces every phi part for i <= {i_max}"
 
     def _degree_claims():  # (what, its degree, the claimed degree), in the order they are checked

@@ -70,7 +70,7 @@ class TestURecurrence:
     def test_reads_phi_through_the_module(self, monkeypatch):
         real = genfun.phi_s_poly
         monkeypatch.setattr(genfun, "phi_s_poly", lambda s: real(s) + Polynomial.monomial("x", 4, int(s == 4)))
-        detail = "u_4 at x^4, times Delta_4: left side 1 != right side 0"
+        detail = "u_4 at x^4, times Delta_4: 1 != 0"
         with pytest.raises(ArithmeticError, match=f"^{re.escape(detail)}$"):
             verify_u_recurrence(6)
 
@@ -82,6 +82,6 @@ class TestURecurrence:
         phi, d = real(s), genfun.phi_degree(s)
         monkeypatch.setattr(genfun, "phi_s_poly", lambda j: real(j) + Polynomial.monomial("x", d, int(j == s)))
         want = phi.coefficient(d) - s * phi.coefficient(d - 1)
-        detail = f"u_{s} at x^{d}, times Delta_{s}: left side {want + 1} != right side {want}"
+        detail = f"u_{s} at x^{d}, times Delta_{s}: {want + 1} != {want}"
         with pytest.raises(ArithmeticError, match=f"^{re.escape(detail)}$"):
             verify_u_recurrence(8)
