@@ -16,6 +16,10 @@ The weight psi_i(n, s) factors as K(s-i) * Q_i(n, s) with K(s) = 2^(2-s);
 the non-polynomial prefactor K is kept out of every stored object and only
 reattached at evaluation time, which is also how the polynomials are usually
 displayed.  Q_i has degree exactly floor(i/2) in n.
+
+One integer kernel, _part, builds both families from the cached a_k and b_m:
+phi_i(n, t) with b_m(t), and Q_i(n, s) = phi_i(n, s - i) with each b_m
+shifted to b_m(s - i).  No p_j is stored, and no family is made from another.
 """
 
 from __future__ import annotations
@@ -80,18 +84,6 @@ def b_poly(m: int) -> Polynomial:
 NT_VARS = ("n", "t")
 
 
-@lru_cache(maxsize=None)
-def p_poly(j: int) -> BivariatePolynomial:
-    """p_j(n, t) = sum_{k=0}^{j} a_k(n) b_{j-k}(t), degree j in each variable."""
-    if j < 0:
-        raise ValueError("j must be >= 0")
-    return BivariatePolynomial.sum(NT_VARS, (
-        BivariatePolynomial.from_univariate(a_poly(k), 0, NT_VARS)
-        * BivariatePolynomial.from_univariate(b_poly(j - k), 1, NT_VARS)
-        for k in range(j + 1)
-    ))
-
-
 def selector(i: int) -> tuple[tuple[int, int], ...]:
     """The nonzero pairs (j, g_{i,j}) of the selector picking p_j terms for index i."""
     if i % 2:
@@ -99,14 +91,37 @@ def selector(i: int) -> tuple[tuple[int, int], ...]:
     return ((i // 2, 1), (i // 2 - 1, 1)) if i else ((0, 1),)
 
 
-def phi_polys(i_max: int) -> list[BivariatePolynomial]:
-    """Polynomial parts of phi_i(n, t) = sum_j g_{i,j} p_j, the common K(t) factor omitted."""
+def _part(i: int, vars: tuple[str, str], shift: int) -> BivariatePolynomial:
+    """sum_{(j, g) in selector(i)} g * p_j(n, v + shift), in the variables vars = (n, v).
+
+    Every a_k(n) * b_{j-k}(v + shift) is added into dense integer rows over
+    one common denominator; each b_m is shifted once, and not at all when
+    shift is 0.  selector, a_poly and b_poly are read when called.
+    """
+    pairs = selector(i)
+    b = [b_poly(m) for m in range(max(j for j, _ in pairs) + 1)]
+    if shift:
+        b = [bm.shift(shift) for bm in b]
+    terms = [(g, a_poly(k), b[j - k]) for j, g in pairs for k in range(j + 1)]
+    d = lcm(*(a.den * bm.den for _, a, bm in terms))
+    rows = [[0] * len(b) for _ in b]  # rows[e1][e2] is the numerator of n^e1 v^e2
+    for g, a, bm in terms:
+        f = g * (d // (a.den * bm.den))
+        for row, x in zip(rows, a.nums):
+            for e2, y in enumerate(bm.nums):
+                row[e2] += f * x * y
+    return BivariatePolynomial._over(vars, {(e1, e2): c for e1, row in enumerate(rows) for e2, c in enumerate(row)}, d)
+
+
+def _indices(i_max: int) -> range:
     if i_max < 0:
         raise ValueError("i_max must be >= 0")
-    return [
-        BivariatePolynomial.sum(NT_VARS, (p_poly(j) * g for j, g in selector(i)))
-        for i in range(i_max + 1)
-    ]
+    return range(i_max + 1)
+
+
+def phi_polys(i_max: int) -> list[BivariatePolynomial]:
+    """Polynomial parts of phi_i(n, t) = sum_j g_{i,j} p_j(n, t), the common K(t) factor omitted, each by _part."""
+    return [_part(i, NT_VARS, 0) for i in _indices(i_max)]
 
 
 class PsiPolynomial(Immutable):
@@ -119,11 +134,8 @@ class PsiPolynomial(Immutable):
 
 
 def psi_polys(i_max: int) -> list[PsiPolynomial]:
-    """The weights Q_i(n, s): phi parts reparametrized by t -> s - i."""
-    return [
-        PsiPolynomial(index=i, part=part.substitute_linear(1, -i, new_name="s"))
-        for i, part in enumerate(phi_polys(i_max))
-    ]
+    """The weights Q_i(n, s) = phi_i(n, s - i), each made directly with b_m(t) at t = s - i."""
+    return [PsiPolynomial(index=i, part=_part(i, ("n", "s"), -i)) for i in _indices(i_max)]
 
 
 def _a_numerators(n: int, k_max: int) -> tuple[list[int], int]:

@@ -17,13 +17,14 @@ checked whenever two polynomials are combined; mixing tags raises ValueError.
 The loops over integer coefficient lists live in five kernels: _product
 (convolution), _times_linear (times c0 + c1*x), _linear_product (a product
 of factors c0 + c1*x, one _times_linear pass a factor), _over_linear (series
-over 1 - t*x) and _plus (sum); Polynomial and every family run on them.
-_shift_powers lists every power (V + shift)**e for substitute_linear.
+over 1 - t*x) and _plus (sum); Polynomial and the genfun families run on
+them.  Polynomial.shift sweeps its one list in place, and _shift_powers
+lists every power (V + shift)**e for substitute_linear.
 
-Only the substitutions the families need are offered: integer argument
-shifts (shift, substitute_linear).  No polynomial is divided by another:
-every denominator in the families is a product of linear factors 1 - t*x,
-and _over_linear is the one division.
+Only the substitutions the families and their checks need are offered:
+integer argument shifts (shift, substitute_linear).  No polynomial is
+divided by another: every denominator in the families is a product of
+linear factors 1 - t*x, and _over_linear is the one division.
 binom_rational takes its falling product on the integer numerator and
 denominator of the top argument and makes one Fraction, at the end.
 
@@ -235,10 +236,16 @@ class Polynomial(Immutable):
         return Fraction(acc, self.den * q ** max(self.degree, 0))
 
     def shift(self, by: int) -> Polynomial:
-        """Return p(X + by) for an integer by, in the same variable, by Horner's rule."""
-        out = []
-        for c in reversed(self.nums):
-            out = _plus(_times_linear(out, by, 1), [c])
+        """Return p(X + by) for an integer by, in the same variable, in integers and in place.
+
+        Pass k is one Horner sweep of synthetic division by X - by, from the
+        top down to out[k], which it leaves as the X**k coefficient of p(X + by).
+        """
+        out, top = list(self.nums), len(self.nums) - 1
+        for k in range(top):
+            acc = out[top]
+            for j in range(top - 1, k - 1, -1):
+                acc = out[j] = out[j] + by * acc
         return Polynomial._over(self.var, out, self.den)
 
 
@@ -280,14 +287,6 @@ class BivariatePolynomial(Immutable):
     @classmethod
     def constant(cls, vars: tuple[str, str], value) -> BivariatePolynomial:
         return cls(vars, {(0, 0): value})
-
-    @classmethod
-    def from_univariate(cls, p: Polynomial, position: int, vars: tuple[str, str]) -> BivariatePolynomial:
-        """Embed a univariate polynomial as variable 0 or 1 of a bivariate one."""
-        if p.var != vars[position]:
-            raise ValueError(f"variable mismatch: {p.var!r} is not {vars[position]!r}")
-        keys = ((j, 0) if position == 0 else (0, j) for j in range(len(p.nums)))
-        return cls._over(vars, dict(zip(keys, p.nums)), p.den)
 
     @property
     def terms(self) -> dict[tuple[int, int], Fraction]:
@@ -359,8 +358,7 @@ class BivariatePolynomial(Immutable):
     def substitute_linear(self, position: int, shift: int, new_name: str | None = None) -> BivariatePolynomial:
         """Replace variable `position` by V + shift for an integer shift (V optionally renamed).
 
-        Used both for the reparametrization t -> s - i and for argument shifts
-        like n -> n - 1 inside recurrence checks.
+        Used for argument shifts like n -> n - 1 inside the recurrence checks.
         """
         names = list(self.vars)
         if new_name is not None:

@@ -8,9 +8,10 @@ are decimal strings too: rows past n = 20 overflow 64-bit consumers.
 
 Every number is written and read in full, past the interpreter's int/str
 digit limit (Python 3.10.7+ refuses past 4300 digits, which triangle entries
-reach near n = 1560).  The limit is lifted only at the two text boundaries:
-encode, around each chunk it makes and never across a yield, and the number
-parsers text_to_fraction and doc_to_triangle.  No encoder knows of it.
+reach near n = 1560).  The limit is lifted only at the text boundaries:
+encode, around each chunk it makes and never across a yield, the number
+parsers text_to_fraction and doc_to_triangle, and verification._run, which
+writes a failed check's detail.  No encoder knows of it.
 
 The LaTeX emitters mirror the usual tabulated presentation: psi rows keep the
 K(s-i) prefactor symbolic and pull the coefficients over a common
@@ -30,7 +31,7 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .closedform import PsiPolynomial
 from .genfun import RationalGF
@@ -211,9 +212,13 @@ def bivariate_to_tsv(p: BivariatePolynomial, prefix: str = "") -> str:
     return "\n".join(lines)
 
 
-def _join_lines(*blocks: str) -> str:
-    """Concatenate tsv blocks, dropping empty ones so no blank line appears."""
-    return "\n".join(b for b in blocks if b)
+def _joined(texts: Iterable[str], sep: str = "\n") -> Iterator[str]:
+    """sep.join(texts) with the empty texts dropped, as one chunk a text."""
+    lead = ""
+    for text in texts:
+        if text:
+            yield lead + text
+            lead = sep
 
 
 # ---------------------------------------------------------------------------
@@ -313,24 +318,27 @@ def _psi_json(family: list[PsiPolynomial]) -> dict:
     return {"kind": "polynomial", "family": "psi", "rows": rows}
 
 
-def _psi_json_text(family: list[PsiPolynomial]) -> str:
-    """The text of json.dumps(_psi_json(family), indent=2), written directly."""
-    rows = []
-    for psi in family:
-        p = psi.part
-        names = ",".join(f"\n          {json.dumps(v)}" for v in p.vars)
-        terms = ",".join(
-            f'\n          [\n            {e1},\n            {e2},\n            "{ratio_to_text(c, p.den)}"\n          ]'
-            for (e1, e2), c in sorted(p.nums.items())
-        )
-        terms = f"[{terms}\n        ]" if terms else "[]"
-        rows.append(
-            f'\n    {{\n      "i": {psi.index},\n      "prefactor": "{_prefactor(psi.index)}",'
-            f'\n      "part": {{\n        "kind": "polynomial",\n        "variables": [{names}\n        ],'
-            f'\n        "terms": {terms}\n      }}\n    }}'
-        )
-    body = f"[{','.join(rows)}\n  ]" if rows else "[]"
-    return f'{{\n  "kind": "polynomial",\n  "family": "psi",\n  "rows": {body}\n}}'
+def _psi_json_row(psi: PsiPolynomial) -> str:
+    """One row of the psi json text, from the newline that opens it to its closing brace."""
+    p = psi.part
+    names = ",".join(f"\n          {json.dumps(v)}" for v in p.vars)
+    terms = ",".join(
+        f'\n          [\n            {e1},\n            {e2},\n            "{ratio_to_text(c, p.den)}"\n          ]'
+        for (e1, e2), c in sorted(p.nums.items())
+    )
+    terms = f"[{terms}\n        ]" if terms else "[]"
+    return (
+        f'\n    {{\n      "i": {psi.index},\n      "prefactor": "{_prefactor(psi.index)}",'
+        f'\n      "part": {{\n        "kind": "polynomial",\n        "variables": [{names}\n        ],'
+        f'\n        "terms": {terms}\n      }}\n    }}'
+    )
+
+
+def _psi_json_text(family: list[PsiPolynomial]) -> Iterator[str]:
+    """The text of json.dumps(_psi_json(family), indent=2), written directly: a header, a chunk per row, a footer."""
+    yield '{\n  "kind": "polynomial",\n  "family": "psi",\n  "rows": ['
+    yield from _joined(map(_psi_json_row, family), ",")
+    yield "\n  ]\n}" if family else "]\n}"
 
 
 def _phi_json(gf: RationalGF, s: int) -> dict:
@@ -348,7 +356,7 @@ def _phi_json(gf: RationalGF, s: int) -> dict:
 
 def _phi_tsv(gf: RationalGF) -> str:
     factors = [f"factor\t{c}\t{e}" for c, e in gf.denominator_factors]
-    return _join_lines(polynomial_to_tsv(gf.numerator, "coefficient\t"), *factors)
+    return "".join(_joined([polynomial_to_tsv(gf.numerator, "coefficient\t"), *factors]))
 
 
 def _report_json(results) -> dict:
@@ -382,13 +390,9 @@ ENCODERS = {
     ("triangle", "json"): _triangle_json,
     ("triangle", "tsv"): triangle_to_tsv,
     ("triangle", "latex"): lambda tri: _triangle_lines(tri, " & ", r" \\"),
-    ("psi", "json"): _whole(_psi_json_text),
-    ("psi", "tsv"): _whole(lambda family: _join_lines(
-        *(bivariate_to_tsv(psi.part, f"{psi.index}\t") for psi in family)
-    )),
-    ("psi", "latex"): _whole(lambda family: "\n".join(
-        f"{psi.index} & {psi_row_latex(psi)} \\\\" for psi in family
-    )),
+    ("psi", "json"): _psi_json_text,
+    ("psi", "tsv"): lambda family: _joined(bivariate_to_tsv(psi.part, f"{psi.index}\t") for psi in family),
+    ("psi", "latex"): lambda family: _joined(f"{psi.index} & {psi_row_latex(psi)} \\\\" for psi in family),
     ("phi", "json"): _json(_phi_json),
     ("phi", "tsv"): _whole(_phi_tsv),
     ("phi", "latex"): _whole(lambda gf: (
@@ -412,8 +416,10 @@ def encode(kind: str, fmt: str, value, **params) -> Iterator[str]:
 
     Nothing is encoded until the first chunk is asked for.  The triangle
     encoders yield each row in chunks of at most _CHUNK counts, so no row's
-    whole text is ever one string (json adds a header and a footer); every
-    other document is small and comes as one chunk.  Only json documents echo
+    whole text is ever one string (json adds a header and a footer); the psi
+    encoders yield one chunk a row (json again with a header and a footer),
+    so the family's text is never one string; every other document is small
+    and comes as one chunk.  Only json documents echo
     the request parameters (`method`, `s`); tsv and latex carry the bare data.
     Each chunk is made with the digit limit lifted, and the limit is back in
     place before the chunk is handed out.

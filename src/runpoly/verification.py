@@ -5,11 +5,12 @@ Every check recomputes its subject through the public module entry points
 and compares exact values.  A check that raises is reported as failed rather
 than aborting the battery, except when it runs out of memory: that MemoryError
 leaves the battery, and the command reports it as such.  The checks run in the
-order of the one table of (name, body) pairs that ends run_verification.  A
-rational series coefficient is compared as its integer numerator,
-cross-multiplied by the denominators on both sides, and is made a Fraction
-only to write a failure detail.  Nothing here is allowed to tolerate
-approximate agreement.
+order of the one table of (name, body) pairs that ends run_verification,
+each with the int/str digit limit lifted, so a failure detail names its
+values in full past the interpreter's 4300 digits.  A rational series
+coefficient is compared as its integer numerator, cross-multiplied by the
+denominators on both sides, and is made a Fraction only to write a failure
+detail.  Nothing here is allowed to tolerate approximate agreement.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Callable
 
 from . import bruteforce, closedform, genfun, recurrences, triangle
 from .poly import Immutable
+from .serialize import _any_int_digits
 
 
 class CheckResult(Immutable):
@@ -34,9 +36,14 @@ class _CheckFailure(Exception):
 
 
 def _run(name: str, body: Callable[[], str]) -> CheckResult:
-    """Run one check; the body returns a detail string or raises a failure."""
+    """Run one check; the body returns a detail string or raises a failure.
+
+    The body runs with the int/str digit limit lifted, so a detail prints
+    every value in full, however many digits it has.
+    """
     try:
-        detail = body()
+        with _any_int_digits():
+            detail = body()
     except _CheckFailure as exc:
         return CheckResult(name, False, str(exc))
     except MemoryError:  # not a failed identity: main reports it and exits 2

@@ -202,6 +202,16 @@ def bump_phi_part(monkeypatch):
     monkeypatch.setattr(closedform, "phi_polys", bumped)
 
 
+def bump_part_kernel(monkeypatch):
+    real = closedform._part
+
+    def bumped(i, vars, shift):  # one more 1/den in the constant term of phi_2(n, t) and of Q_2(n, s)
+        part = real(i, vars, shift)
+        return part + BivariatePolynomial.constant(vars, Fraction(1, part.den)) if i == 2 else part
+
+    monkeypatch.setattr(closedform, "_part", bumped)
+
+
 def bump_triangle_entry(monkeypatch):
     real = triangle.build_triangle
 
@@ -297,6 +307,10 @@ MUTANTS = {
         "u-recurrence": "ArithmeticError: u_3 at x^3, times Delta_3: 1 != 0",
     }),
     "phi-part": (bump_phi_part, {
+        "phi-series-product": "x^2 at n=2, t=1: product 7/2 != 4",
+        "phi-recurrence": "phi-recurrence: FAILED at i = 2, 3, 4; lhs - rhs at i = 2 has lowest term -1/2*n^0*t^0",
+    }),
+    "part-kernel": (bump_part_kernel, {
         "phi-series-product": "x^2 at n=2, t=1: product 7/2 != 4",
         "phi-recurrence": "phi-recurrence: FAILED at i = 2, 3, 4; lhs - rhs at i = 2 has lowest term -1/2*n^0*t^0",
         "psi-recurrence": "psi-recurrence: FAILED at i = 2, 3, 4; lhs - rhs at i = 2 has lowest term -1/2*n^0*s^0",
@@ -396,6 +410,28 @@ class TestVerify:
         assert code == 1
         failed = {c["name"]: c["detail"] for c in json.loads(out)["checks"] if not c["passed"]}
         assert failed == expected
+
+    def test_a_failure_detail_names_values_past_the_digit_limit_in_full(self, capsys, monkeypatch):
+        real = triangle.build_triangle
+
+        def bumped(n_max):  # P(5, 1): 2 -> 10^5000 + 2, of 5001 digits, past the interpreter's 4300
+            tri = real(n_max)
+            rows = list(tri.rows)
+            rows[3] = (rows[3][0] + 10**5000,) + rows[3][1:]
+            return RunCountTriangle(tri.n_max, tuple(rows))
+
+        monkeypatch.setattr(triangle, "build_triangle", bumped)
+        code, out, err = run_cli(capsys, "verify", "--n-max", "8", "--s-max", "4", "--i-max", "4", "--k-max", "3")
+        assert code == 1
+        assert err == "verification failed (row-sums, brute-vs-recurrence, closed-vs-recurrence, series-vs-recurrence)\n"
+        failed = {c["name"]: c["detail"] for c in json.loads(out)["checks"] if not c["passed"]}
+        bumped_value, row_sum = "1" + "0" * 4999 + "2", "1" + "0" * 4997 + "120"
+        assert failed == {
+            "row-sums": f"row n=5 sums to {row_sum}, not 5!",
+            "brute-vs-recurrence": f"P(5,1): brute force 2 != {bumped_value}",
+            "closed-vs-recurrence": f"P(5,1): closed form 2 != {bumped_value}",
+            "series-vs-recurrence": f"P(5,1): series 2 != {bumped_value}",
+        }
 
     @pytest.mark.parametrize("fmt", cli.FORMATS)
     def test_corrupted_psi_family_fails_named_check(self, capsys, monkeypatch, fmt):

@@ -17,7 +17,6 @@ from runpoly.closedform import (
     closed_row,
     closed_triangle,
     p_closed_form,
-    p_poly,
     phi_generating_series,
     phi_polys,
     psi_polys,
@@ -96,19 +95,22 @@ class TestBuildingBlocks:
         # the latter is defined
         assert b_poly(m).evaluate(t) == b_value(m, t)
 
-    def test_p_small(self):
-        assert p_poly(0) == BivariatePolynomial.constant(("n", "t"), 1)
-        expected = {(0, 0): Fraction(3, 2), (1, 0): Fraction(-1, 2), (0, 1): Fraction(1, 4)}
-        assert p_poly(1).terms == expected
+    def test_phi_small(self):
+        # phi_0 = p_0 = 1 and phi_3 = -2 p_1, with p_1(n, t) = 3/2 - n/2 + t/4
+        parts = phi_polys(3)
+        assert parts[0] == BivariatePolynomial.constant(("n", "t"), 1)
+        p1 = {(0, 0): Fraction(3, 2), (1, 0): Fraction(-1, 2), (0, 1): Fraction(1, 4)}
+        assert parts[3].terms == {e: -2 * c for e, c in p1.items()}
         assert defining_sum(1, 3, 2) == Fraction(1, 2)
 
     @given(
-        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=13),
         st.integers(min_value=2, max_value=15),
         st.integers(min_value=1, max_value=10),
     )
-    def test_p_poly_matches_values(self, j, n, t):
-        assert p_poly(j).evaluate(n, t) == defining_sum(j, n, t)
+    def test_phi_parts_match_defining_sums(self, i, n, t):
+        want = sum(g * defining_sum(j, n, t) for j, g in selector(i))
+        assert phi_polys(i)[i].evaluate(n, t) == want
 
 
 def selector_by_expansion(i):
@@ -144,8 +146,9 @@ class TestPhiParts:
         parts = phi_polys(3)
         assert parts[0] == BivariatePolynomial.constant(("n", "t"), 1)
         assert parts[1] == BivariatePolynomial.constant(("n", "t"), -2)
-        assert parts[2] == p_poly(1) + p_poly(0)
-        assert parts[3] == p_poly(1) * (-2)
+        # phi_2 = p_1 + p_0 = 5/2 - n/2 + t/4 and phi_3 = -2 p_1
+        assert parts[2].terms == {(0, 0): Fraction(5, 2), (1, 0): Fraction(-1, 2), (0, 1): Fraction(1, 4)}
+        assert parts[3].terms == {(0, 0): -3, (1, 0): 1, (0, 1): Fraction(-1, 2)}
 
     def test_generating_series_reproduces_parts(self):
         # the product form (1-x)^2 * A(x^2) * B(x^2) must hand back every part
@@ -182,6 +185,15 @@ class TestPsiWeights:
     def test_degree_in_n(self):
         for i, psi in enumerate(psi_polys(12)):
             assert psi.part.degree_in(0) == i // 2, f"i={i}"
+
+    @given(st.integers(0, 30))
+    @settings(max_examples=31, deadline=None)
+    def test_parts_are_phi_parts_at_t_equal_s_minus_i(self, i_max):
+        # the old derivation as the oracle: each phi part, reparametrized by t -> s - i
+        parts = phi_polys(i_max)
+        for i, psi in enumerate(psi_polys(i_max)):
+            assert psi.index == i
+            assert psi.part == parts[i].substitute_linear(1, -i, new_name="s"), i
 
     def test_evaluate_attaches_prefactor(self):
         psi2 = psi_polys(2)[2]

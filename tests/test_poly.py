@@ -226,7 +226,7 @@ class TestNormalForm:
         assert (p.nums, p.den) == ((1, 2), 2)
         assert p == q and hash(p) == hash(q)
         b = BivariatePolynomial(("n", "s"), {(0, 0): Fraction(2, 4), (1, 0): Fraction(3, 3)})
-        c = BivariatePolynomial.from_univariate(Polynomial("n", q.coeffs), 0, ("n", "s"))
+        c = BivariatePolynomial(("n", "s"), {(j, 0): v for j, v in enumerate(q.coeffs)})
         assert (b.nums, b.den) == ({(0, 0): 1, (1, 0): 2}, 2)
         assert b == c and hash(b) == hash(c)
 
@@ -236,7 +236,7 @@ class TestNormalForm:
         p = Polynomial("x", cs)
         q = Polynomial("x", [c * k for c in cs]) * Fraction(1, k)
         assert p == q and hash(p) == hash(q)
-        b = BivariatePolynomial.from_univariate(p, 1, ("n", "x"))
+        b = BivariatePolynomial(("n", "x"), {(0, j): v for j, v in enumerate(p.coeffs)})
         c = BivariatePolynomial(("n", "x"), {(0, j): c * k for j, c in enumerate(cs)}) * Fraction(1, k)
         assert b == c and hash(b) == hash(c)
 
@@ -472,15 +472,17 @@ def test_equal_commands_give_equal_documents(command):
 
 
 def test_only_the_text_boundaries_lift_the_digit_limit():
-    # the int/str digit limit is lifted where text is made (serialize.encode) or parsed
-    # (text_to_fraction, doc_to_triangle), never inside an encoder
+    # the int/str digit limit is lifted where text is made (serialize.encode, and verification._run
+    # for a failed check's detail) or parsed (text_to_fraction, doc_to_triangle), never inside an encoder
     users = set()
     for path in sorted(Path(runpoly.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
                 if "_any_int_digits" in (getattr(node, "id", None), getattr(node, "attr", None)):
                     users.add(f"{path.name}:{getattr(top, 'name', '<module>')}")
-    assert sorted(users) == ["serialize.py:doc_to_triangle", "serialize.py:encode", "serialize.py:text_to_fraction"]
+    assert sorted(users) == [
+        "serialize.py:doc_to_triangle", "serialize.py:encode", "serialize.py:text_to_fraction", "verification.py:_run",
+    ]
 
 
 def test_only_immutable_defines_eq_and_over():

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -193,12 +194,25 @@ class TestPsiJsonText:
         family = psi_polys(40)
         for i_max in range(41):
             rows = family[: i_max + 1]
-            assert _psi_json_text(rows) == json.dumps(_psi_json(rows), indent=2), i_max
+            assert "".join(_psi_json_text(rows)) == json.dumps(_psi_json(rows), indent=2), i_max
 
     def test_empty_lists_are_written_like_json_dumps(self):
         zero = PsiPolynomial(0, BivariatePolynomial(("n", "s")))
         for rows in ([], [zero]):
-            assert _psi_json_text(rows) == json.dumps(_psi_json(rows), indent=2)
+            assert "".join(_psi_json_text(rows)) == json.dumps(_psi_json(rows), indent=2)
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv", "latex"])
+def test_no_psi_chunk_holds_more_than_one_row(fmt):
+    # the indices i that each chunk holds rows of: json names them, tsv and latex open each line with one
+    chunks = list(encode("psi", fmt, psi_polys(12)))
+    if fmt == "json":
+        per_chunk = [[int(i) for i in re.findall(r'"i": ([0-9]+)', chunk)] for chunk in chunks]
+    else:
+        sep = "\t" if fmt == "tsv" else " & "
+        per_chunk = [sorted({int(line.split(sep)[0]) for line in chunk.splitlines() if line}) for chunk in chunks]
+    assert max(map(len, per_chunk)) == 1
+    assert [i for rows in per_chunk for i in rows] == list(range(13))
 
 
 class TestTsv:
