@@ -308,24 +308,15 @@ class BivariatePolynomial(Immutable):
             other = BivariatePolynomial.constant(self.vars, other)
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
-        return BivariatePolynomial.sum(self.vars, (self, other))
+        self._check_vars(other)
+        d = lcm(self.den, other.den)
+        f, g = d // self.den, d // other.den
+        out = {e: c * f for e, c in self.nums.items()}
+        for e, c in other.nums.items():
+            out[e] = out.get(e, 0) + c * g
+        return BivariatePolynomial._over(self.vars, out, d)
 
     __radd__ = __add__
-
-    @classmethod
-    def sum(cls, vars: tuple[str, str], polys: Iterable[BivariatePolynomial]) -> BivariatePolynomial:
-        """The sum of polynomials in vars, added as integers over one common denominator."""
-        polys = list(polys)
-        for p in polys:
-            if p.vars != vars:
-                raise ValueError(f"variable mismatch: {vars} vs {p.vars}")
-        d = lcm(*(p.den for p in polys))
-        out: dict[tuple[int, int], int] = {}
-        for p in polys:
-            f = d // p.den
-            for e, c in p.nums.items():
-                out[e] = out.get(e, 0) + c * f
-        return cls._over(vars, out, d)
 
     def __neg__(self):
         return BivariatePolynomial._over(self.vars, {e: -c for e, c in self.nums.items()}, self.den)

@@ -6,7 +6,9 @@ identities hold with a common non-polynomial prefactor (K(t) resp. K(s-i))
 that cancels from every term, so each reduces to an exact bivariate
 polynomial identity: the difference of the two sides must have no terms at
 all.  The u_s identity is the run recurrence summed over n, cleared of its
-denominators by Delta_s into integer polynomials in x.
+denominators by Delta_s into integer polynomials in x.  Each check returns
+its passing detail, or raises a plain ArithmeticError whose message is the
+whole failure detail.
 """
 
 from __future__ import annotations
@@ -15,33 +17,16 @@ from math import lcm
 
 from . import genfun
 from .closedform import PsiPolynomial
-from .poly import BivariatePolynomial, Immutable, Polynomial
+from .poly import BivariatePolynomial, Polynomial
 from .poly import _linear_product, _plus, _product, _times_linear
 
 
-class IdentityReport(Immutable):
-    """Outcome of checking indexed identities; residual is lhs - rhs at the first failing i, or None."""
-
-    __slots__ = ("name", "i_max", "failures", "residual")
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def __str__(self) -> str:
-        if self.ok:
-            return f"{self.name}: all identities hold for 1 <= i <= {self.i_max}"
-        (e1, e2), (v1, v2) = min(self.residual.nums), self.residual.vars
-        return (
-            f"{self.name}: FAILED at i = {', '.join(map(str, self.failures))}; lhs - rhs at i = "
-            f"{self.failures[0]} has lowest term {self.residual.terms[e1, e2]}*{v1}^{e1}*{v2}^{e2}"
-        )
-
-
-def _check(name: str, parts: list[BivariatePolynomial], i_max: int, sides) -> IdentityReport:
-    """Report the i in 1..i_max where sides(n, x, i, p_i, p_{i-1}, p_{i-2}) = (lhs, rhs) differ.
+def _check(name: str, parts: list[BivariatePolynomial], i_max: int, sides) -> str:
+    """Check that sides(n, x, i, p_i, p_{i-1}, p_{i-2}) = (lhs, rhs) agree for every i in 1..i_max.
 
     n and x are the variables of the parts p_i; p_{-1} is the zero polynomial.
+    Returns the passing detail; raises ArithmeticError naming every failing i
+    and the lowest term of lhs - rhs at the first.
     """
     if i_max < 1 or i_max >= len(parts):
         raise ValueError(f"i_max must be in 1..{len(parts) - 1}, got {i_max}")
@@ -55,10 +40,16 @@ def _check(name: str, parts: list[BivariatePolynomial], i_max: int, sides) -> Id
         if lhs != rhs:
             failures.append(i)
             residual = residual or lhs - rhs
-    return IdentityReport(name, i_max, tuple(failures), residual)
+    if failures:
+        (e1, e2), (v1, v2) = min(residual.nums), vars
+        raise ArithmeticError(
+            f"{name}: FAILED at i = {', '.join(map(str, failures))}; lhs - rhs at i = "
+            f"{failures[0]} has lowest term {residual.terms[e1, e2]}*{v1}^{e1}*{v2}^{e2}"
+        )
+    return f"{name}: all identities hold for 1 <= i <= {i_max}"
 
 
-def verify_phi_recurrence(phi_family: list[BivariatePolynomial], i_max: int) -> IdentityReport:
+def verify_phi_recurrence(phi_family: list[BivariatePolynomial], i_max: int) -> str:
     """Check t*phi_i(n,t) = (t+i)*phi_i(n-1,t) + 2*phi_{i-1}(n-1,t) + (n-t-i)*phi_{i-2}(n-1,t).
 
     `phi_family[i]` is the polynomial part of phi_i in (n, t); the common K(t)
@@ -72,7 +63,7 @@ def verify_phi_recurrence(phi_family: list[BivariatePolynomial], i_max: int) -> 
     return _check("phi-recurrence", phi_family, i_max, sides)
 
 
-def verify_psi_recurrence(psi_family: list[PsiPolynomial], i_max: int) -> IdentityReport:
+def verify_psi_recurrence(psi_family: list[PsiPolynomial], i_max: int) -> str:
     """Check (s-i)*Q_i(n,s) = s*Q_i(n-1,s) + 2*Q_{i-1}(n-1,s-1) + (n-s)*Q_{i-2}(n-1,s-2).
 
     All four terms of the psi recurrence carry the same prefactor K(s-i),
@@ -109,6 +100,8 @@ def verify_u_recurrence(s_max: int) -> str:
     ArithmeticError naming the first s and the lowest x^j where the sides
     differ, with both values, left side first.
     """
+    if s_max < 1:
+        raise ValueError(f"s_max must be >= 1, got {s_max}")
     edge = {0: Polynomial("x", [0, 1]), -1: Polynomial("x")}  # u_0 = x and u_{-1} = 0, over Delta_0 = 1
     for s in range(1, s_max + 1):
         phis = [genfun.phi_s_poly(j) if j >= 1 else edge[j] for j in (s, s - 1, s - 2)]

@@ -2,12 +2,15 @@
 
 Every check recomputes its subject through the public module entry points
 (module-qualified calls, so test harnesses can substitute corrupted families)
-and compares exact values.  A check that raises is reported as failed rather
-than aborting the battery, except when it runs out of memory: that MemoryError
-leaves the battery, and the command reports it as such.  The checks run in the
-order of the one table of (name, body) pairs that ends run_verification,
-each with the int/str digit limit lifted, so a failure detail names its
-values in full past the interpreter's 4300 digits.  A rational series
+and compares exact values.  A check body returns its passing detail, or
+raises a plain ArithmeticError whose message is the whole failure detail.  Any
+other exception, a typed error of the layer checked or a crash, also fails
+the check, with its type named in the detail, rather than aborting the
+battery, except when it runs out of memory: that MemoryError leaves the
+battery, and the command reports it as such.  The checks run in the order of
+the one table of (name, body) pairs that ends run_verification, each with
+the int/str digit limit lifted, so a failure detail names its values in full
+past the interpreter's 4300 digits.  A rational series
 coefficient is compared as its integer numerator, cross-multiplied by the
 denominators on both sides, and is made a Fraction only to write a failure
 detail.  Nothing here is allowed to tolerate approximate agreement.
@@ -31,25 +34,22 @@ class CheckResult(Immutable):
         return "ok" if self.passed else "FAILED"
 
 
-class _CheckFailure(Exception):
-    pass
-
-
 def _run(name: str, body: Callable[[], str]) -> CheckResult:
-    """Run one check; the body returns a detail string or raises a failure.
+    """Run one check; the body returns its passing detail or raises.
 
-    The body runs with the int/str digit limit lifted, so a detail prints
-    every value in full, however many digits it has.
+    A plain ArithmeticError's message is the whole failure detail; any other
+    exception is named by its type, as "{Type}: {message}".  The body runs
+    with the int/str digit limit lifted, so a detail prints every value in
+    full, however many digits it has.
     """
     try:
         with _any_int_digits():
             detail = body()
-    except _CheckFailure as exc:
-        return CheckResult(name, False, str(exc))
     except MemoryError:  # not a failed identity: main reports it and exits 2
         raise
     except Exception as exc:  # a crash is a failed check, not a crashed battery
-        return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
+        detail = str(exc) if type(exc) is ArithmeticError else f"{type(exc).__name__}: {exc}"
+        return CheckResult(name, False, detail)
     return CheckResult(name, True, detail)
 
 
@@ -58,14 +58,7 @@ def _rows_match(tri: triangle.RunCountTriangle, route: str, rows) -> None:
     for n, row in rows:
         for s, (got, want) in enumerate(zip(row, tri.row(n)), start=1):
             if got != want:
-                raise _CheckFailure(f"P({n},{s}): {route} {got} != {want}")
-
-
-def _report(report: recurrences.IdentityReport) -> str:
-    """An IdentityReport as its check's detail, or as the check's failure when an identity fails."""
-    if not report.ok:
-        raise _CheckFailure(str(report))
-    return str(report)
+                raise ArithmeticError(f"P({n},{s}): {route} {got} != {want}")
 
 
 def run_verification(
@@ -84,7 +77,7 @@ def run_verification(
         for n in range(2, n_max + 1):
             total = sum(tri.row(n))
             if total != factorial(n):
-                raise _CheckFailure(f"row n={n} sums to {total}, not {n}!")
+                raise ArithmeticError(f"row n={n} sums to {total}, not {n}!")
         return f"sum_s P(n,s) = n! for 2 <= n <= {n_max}"
 
     def _brute():
@@ -102,9 +95,7 @@ def run_verification(
             series = genfun.u_s_series(s, n_max)
             for n in range(2, n_max + 1):
                 if series.nums[n] != tri.value(n, s) * series.den:
-                    raise _CheckFailure(
-                        f"P({n},{s}): series {series.coefficient(n)} != {tri.value(n, s)}"
-                    )
+                    raise ArithmeticError(f"P({n},{s}): series {series.coefficient(n)} != {tri.value(n, s)}")
         return f"u_s coefficients match the recurrence for s <= {s_max}, n <= {n_max}"
 
     def _divisibility():
@@ -115,7 +106,7 @@ def run_verification(
     def _wz():
         for k in range(k_max + 1):
             if not genfun.verify_wz_sum(k):
-                raise _CheckFailure(f"sum != 4^k at k={k}")
+                raise ArithmeticError(f"sum != 4^k at k={k}")
         return f"normalization sums equal 4^k for k <= {k_max}"
 
     def _dual():
@@ -129,7 +120,7 @@ def run_verification(
             for n in range(2, 41):
                 want = closedform.a_value(k, n)
                 if series.nums[n] * want.denominator != want.numerator * series.den:
-                    raise _CheckFailure(f"A_{k} series at z^{n}: {series.coefficient(n)} != {want}")
+                    raise ArithmeticError(f"A_{k} series at z^{n}: {series.coefficient(n)} != {want}")
         return f"A_k series matches the a_k polynomials for k <= {ak_max}, n <= 40"
 
     def _phi_series():
@@ -142,7 +133,7 @@ def run_verification(
                     # series.nums[i] / series.den == K(t) * part(n, t), cross-multiplied
                     want = part.evaluate(n, t)
                     if series.nums[i] * w.denominator * want.denominator != w.numerator * want.numerator * series.den:
-                        raise _CheckFailure(f"x^{i} at n={n}, t={t}: product {series.coefficient(i)} != {w * want}")
+                        raise ArithmeticError(f"x^{i} at n={n}, t={t}: product {series.coefficient(i)} != {w * want}")
         return f"product form reproduces every phi part for i <= {i_max}"
 
     def _degree_claims():  # (what, its degree, the claimed degree), in the order they are checked
@@ -157,7 +148,7 @@ def run_verification(
     def _degrees():
         for what, got, want in _degree_claims():
             if got != want:
-                raise _CheckFailure(f"{what} = {got} != {want}")
+                raise ArithmeticError(f"{what} = {got} != {want}")
         return "n-degrees, Phi/Delta degrees, and PhiTilde degrees all as claimed"
 
     checks = (
@@ -165,8 +156,8 @@ def run_verification(
         ("brute-vs-recurrence", _brute),
         ("closed-vs-recurrence", _closed),
         ("series-vs-recurrence", _series),
-        ("phi-recurrence", lambda: _report(recurrences.verify_phi_recurrence(closedform.phi_polys(i_max), i_max))),
-        ("psi-recurrence", lambda: _report(recurrences.verify_psi_recurrence(closedform.psi_polys(i_max), i_max))),
+        ("phi-recurrence", lambda: recurrences.verify_phi_recurrence(closedform.phi_polys(i_max), i_max)),
+        ("psi-recurrence", lambda: recurrences.verify_psi_recurrence(closedform.psi_polys(i_max), i_max)),
         ("atilde-divisibility", _divisibility),
         ("wz-normalization", _wz),
         ("atilde-dual-path", _dual),

@@ -95,16 +95,16 @@ def test_criterion_4_row_sums():
 def test_criterion_5_identity_suite():
     started = time.time()
     failures = []
-    psi_report = verify_psi_recurrence(psi_polys(12), 12)
-    if not psi_report.ok:
-        failures.append(str(psi_report))
-    phi_report = verify_phi_recurrence(phi_polys(12), 12)
-    if not phi_report.ok:
-        failures.append(str(phi_report))
-    try:
-        verify_u_recurrence(12)
-    except ArithmeticError as exc:
-        failures.append(f"u-recurrence: {exc}")
+    identities = (
+        lambda: verify_psi_recurrence(psi_polys(12), 12),
+        lambda: verify_phi_recurrence(phi_polys(12), 12),
+        lambda: verify_u_recurrence(12),
+    )
+    for check in identities:
+        try:
+            check()
+        except ArithmeticError as exc:
+            failures.append(str(exc))
     for k in range(31):
         p = atilde_poly(k)  # (1+z)^(k+1) divides it: it and its first k derivatives vanish at z = -1
         for _ in range(k + 1):

@@ -292,7 +292,7 @@ MUTANTS = {
         "closed-vs-recurrence": "P(3,2): closed form 12 != 4",
         "phi-series-product": "x^1 at n=2, t=1: product -4 != 4",
         "series-vs-recurrence": "P(2,2): series 8 != 0",
-        "u-recurrence": "ArithmeticError: u_2 at x^2, times Delta_2: 8 != 0",
+        "u-recurrence": "u_2 at x^2, times Delta_2: 8 != 0",
         "phi-recurrence": "phi-recurrence: FAILED at i = 1, 2, 3, 4; lhs - rhs at i = 1 has lowest term -4*n^0*t^0",
         "psi-recurrence": "psi-recurrence: FAILED at i = 1, 2, 3, 4; lhs - rhs at i = 1 has lowest term -4*n^0*s^0",
     }),
@@ -304,7 +304,7 @@ MUTANTS = {
     "phi-tilde-numerator": (bump_phi_tilde_numerator, {
         "a-k-series": "A_1 series at z^3: 1/2 != 0",
         "series-vs-recurrence": "P(3,3): series 1 != 0",
-        "u-recurrence": "ArithmeticError: u_3 at x^3, times Delta_3: 1 != 0",
+        "u-recurrence": "u_3 at x^3, times Delta_3: 1 != 0",
     }),
     "phi-part": (bump_phi_part, {
         "phi-series-product": "x^2 at n=2, t=1: product 7/2 != 4",
@@ -322,19 +322,19 @@ MUTANTS = {
         "closed-vs-recurrence": "P(5,2): closed form 28 != 29",
     }),
     "phi-times-two": (lambda monkeypatch: scale_phi(monkeypatch, 2), {
-        "u-recurrence": "ArithmeticError: u_1 at x^2, times Delta_1: 4 != 2",
+        "u-recurrence": "u_1 at x^2, times Delta_1: 4 != 2",
     }),
     "phi-times-x": (lambda monkeypatch: scale_phi(monkeypatch, Polynomial.monomial("x", 1)), {
-        "u-recurrence": "ArithmeticError: u_1 at x^2, times Delta_1: 0 != 2",
+        "u-recurrence": "u_1 at x^2, times Delta_1: 0 != 2",
         "degree-claims": "deg Phi_1 = 3 != 2",
     }),
     "phi-4-plus-x10": (bump_phi_4, {
-        "u-recurrence": "ArithmeticError: u_4 at x^10, times Delta_4: 1 != 0",
+        "u-recurrence": "u_4 at x^10, times Delta_4: 1 != 0",
         "degree-claims": "deg Phi_4 = 10 != 7",
     }),
     "block-at-double-pole": (bump_block, {
         "series-vs-recurrence": "P(2,4): series 1 != 0",
-        "u-recurrence": "ArithmeticError: u_4 at x^2, times Delta_4: 1 != 0",
+        "u-recurrence": "u_4 at x^2, times Delta_4: 1 != 0",
     }),
     "pole-order": (raise_pole_order, {
         "series-vs-recurrence": "ValueError: k must be in 0..0 for i=0, got 1",
@@ -527,7 +527,7 @@ class TestVerify:
         results = {r.name: r for r in verification.run_verification(6, 2, 1, 1)}
         check = results["u-recurrence"]
         assert not check.passed
-        assert check.detail == "ArithmeticError: u_2 at x^2, times Delta_2: 1 != 0"
+        assert check.detail == "u_2 at x^2, times Delta_2: 1 != 0"
 
     def test_recurrence_failure_names_lowest_term(self, monkeypatch):
         real = closedform.psi_polys
@@ -546,6 +546,20 @@ class TestVerify:
         assert check.detail == (
             "psi-recurrence: FAILED at i = 3, 4, 5; lhs - rhs at i = 3 has lowest term 1/2*n^0*s^2"
         )
+
+    @pytest.mark.parametrize("error, detail", [
+        (ArithmeticError("x"), "x"),
+        (genfun.DualPathMismatchError("x"), "DualPathMismatchError: x"),
+        (ZeroDivisionError("x"), "ZeroDivisionError: x"),
+        (ValueError("x"), "ValueError: x"),
+    ], ids=["ArithmeticError", "DualPathMismatchError", "ZeroDivisionError", "ValueError"])
+    def test_a_plain_arithmetic_error_is_the_whole_detail(self, error, detail):
+        # only a plain ArithmeticError is a failed identity's own text; any other
+        # exception, its subclasses among them, is named by its type
+        def body():
+            raise error
+
+        assert verification._run("check", body) == verification.CheckResult("check", False, detail)
 
 
 VERIFY_ARGS = ["verify", "--n-max", "3", "--s-max", "1", "--i-max", "1", "--k-max", "0"]

@@ -25,7 +25,6 @@ from runpoly.poly import (
     _times_linear,
     binom_rational,
 )
-from runpoly.recurrences import IdentityReport, verify_psi_recurrence
 from runpoly.triangle import build_triangle
 from runpoly.verification import CheckResult
 
@@ -387,7 +386,6 @@ VALUES = {
     "OutputDocument": lambda: OutputDocument("triangle", "tsv", build_triangle(3), {}, ()),
     "PsiPolynomial": lambda: psi_polys(1)[1],
     "RationalGF": lambda: u_s_gf(1),
-    "IdentityReport": lambda: verify_psi_recurrence(psi_polys(2), 1),
     "CheckResult": lambda: CheckResult("row-sums", True, "ok"),
     "DecimalTriangle": lambda: DecimalTriangle(3),
 }
@@ -414,11 +412,10 @@ def test_only_the_polynomials_hash(make):
             hash(value)
 
 
-# The six records: a value for each field, and a different value for each field.
+# The five records: a value for each field, and a different value for each field.
 RECORDS = {
     CheckResult: (("row-sums", True, "ok"), ("wz-normalization", False, "FAILED")),
     PsiPolynomial: ((1, BivariatePolynomial(("n", "s"), {(0, 0): 1})), (2, BivariatePolynomial(("n", "s"), {}))),
-    IdentityReport: (("psi", 1, (), None), ("phi", 2, (1,), BivariatePolynomial(("n", "t"), {(0, 0): 1}))),
     OutputDocument: (
         ("triangle", "json", build_triangle(3), {"method": "closed"}, ("row-sums",)),
         ("psi", "tsv", psi_polys(1), {}, ()),
